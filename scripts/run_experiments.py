@@ -82,7 +82,9 @@ def main():
                                  n_samples=4 if args.quick else 10,
                                  seed=args.seed, n_trunc=n_trunc // 2)
     (out / "lt_constant.json").write_text(json.dumps(rep, sort_keys=True) + "\n")
-    print(f"  C_0 = {rep['C_0']:.4f}, empirical C = {rep['C_estimate']:.4f}")
+    empirical = f"{rep['C_estimate']:.4f}" if rep["probed"] else "not probed"
+    print(f"  C_0 = {rep['C_0']:.4f}, baseline = {rep['baseline']:.4f}, "
+          f"empirical C = {empirical}")
 
     print("== three-condition experiment (arcsine + atom on [-2,2]) ==")
     e2 = sets["single"]

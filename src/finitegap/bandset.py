@@ -63,46 +63,30 @@ class FiniteGapSet:
         """The j-th open gap (b_j, a_{j+1}), j = 0..l-1."""
         return self.bands[j][1], self.bands[j + 1][0]
 
+    @cached_property
+    def _band_rest_roots(self) -> tuple:
+        return tuple(np.delete(self.endpoints, [2 * j, 2 * j + 1])
+                     for j in range(self.n_bands))
+
+    @cached_property
+    def _gap_rest_roots(self) -> tuple:
+        return tuple(np.delete(self.endpoints, [2 * j + 1, 2 * j + 2])
+                     for j in range(self.ell))
+
     def R(self, x):
         """prod_j (x - a_j)(x - b_j); negative on band interiors."""
-        x = np.asarray(x)
-        out = np.ones_like(x)
-        for r in self.endpoints:
-            out = out * (x - r)
-        return out
+        return root_product(x, self.endpoints)
 
     def rest_product(self, j: int, t):
         """R(t) with band j's own two linear factors removed.
 
         Has constant sign on band j; callers take abs for sqrt(|R|) work.
         """
-        t = np.asarray(t)
-        out = np.ones_like(t)
-        a, b = self.bands[j]
-        skipped_a = skipped_b = False
-        for r in self.endpoints:
-            if r == a and not skipped_a:
-                skipped_a = True
-            elif r == b and not skipped_b:
-                skipped_b = True
-            else:
-                out = out * (t - r)
-        return out
+        return root_product(t, self._band_rest_roots[j])
 
     def gap_rest_product(self, j: int, t):
         """R(t) with gap j's two bounding factors removed."""
-        t = np.asarray(t)
-        out = np.ones_like(t)
-        beta, alpha = self.gap(j)
-        skipped_b = skipped_a = False
-        for r in self.endpoints:
-            if r == beta and not skipped_b:
-                skipped_b = True
-            elif r == alpha and not skipped_a:
-                skipped_a = True
-            else:
-                out = out * (t - r)
-        return out
+        return root_product(t, self._gap_rest_roots[j])
 
     def sqrt_R(self, z):
         """Single-valued branch of sqrt(R) on C \\ e, positive on (b_{l+1}, inf).
@@ -131,6 +115,15 @@ class FiniteGapSet:
     def from_json(cls, text: str) -> "FiniteGapSet":
         pairs = json.loads(text)
         return make_band_set([x for pair in pairs for x in pair])
+
+
+def root_product(t, roots):
+    """prod_r (t - r) over roots, multiplied left to right; 1 for no roots."""
+    t = np.asarray(t)
+    out = np.ones_like(t)
+    for r in roots:
+        out = out * (t - r)
+    return out
 
 
 def make_band_set(endpoints) -> FiniteGapSet:
@@ -205,16 +198,12 @@ class EquilibriumData:
 
     def q_poly(self, t):
         """The monic degree-l polynomial Q with one zero per gap."""
-        t = np.asarray(t, float)
-        out = np.ones_like(t)
-        for z in self.gap_zeros:
-            out = out * (t - z)
-        return out
+        return root_product(np.asarray(t, float), self.gap_zeros)
 
     def theta_density(self, j: int, theta) -> np.ndarray:
         """h_j(theta) = |Q| / (pi sqrt(|P_j|)); smooth in cos(theta)."""
         t = self.set.midpoints[j] + self.set.radii[j] * np.cos(np.asarray(theta, float))
-        return np.abs(self.q_poly(t)) / (np.pi * np.sqrt(np.abs(self.set.rest_product(j, t))))
+        return _eq_theta_density(self.set, self.gap_zeros, j, t)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -312,10 +301,8 @@ def solve_equilibrium(e: FiniteGapSet, n0: int = 256, tol: float = 1e-10,
 
 
 def _eq_theta_density(e: FiniteGapSet, zeros: np.ndarray, j: int, t: np.ndarray):
-    q = np.ones_like(t)
-    for z in zeros:
-        q = q * (t - z)
-    return np.abs(q) / (np.pi * np.sqrt(np.abs(e.rest_product(j, t))))
+    """|Q(t)| / (pi sqrt(|P_j(t)|)) with Q the monic polynomial with these zeros."""
+    return np.abs(root_product(t, zeros)) / (np.pi * np.sqrt(np.abs(e.rest_product(j, t))))
 
 
 def equilibrium_density(eq: EquilibriumData, x: float) -> float:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: eqm, torus, oprl, perturb, sumrule, distance, report.
-Global flags: --config PATH, --out DIR, --seed U64, --tol FLOAT, --nodes INT,
---quiet.  Exit codes: 0 success, 1 hard invariant violation, 2 bad input,
-3 missing dependency file.
+Global flags: --config PATH, --out DIR, --seed U64, --tol FLOAT, --quiet.
+Exit codes: 0 success, 1 hard invariant violation, 2 bad input, 3 missing
+dependency file.
 
 Every output embeds the tool version and a sha256 hash of the canonical
 config, and numeric CSV cells use 17 significant digits, so identical
@@ -101,7 +101,7 @@ def _bands_from_config(config: dict):
         raise CliError(2, f"invalid band set: {exc}") from exc
 
 
-def _jacobi_from_config(spec, nodes: int | None, tol: float):
+def _jacobi_from_config(spec, tol: float):
     """Build coefficients from 'free' | {jacobi: ...} | {torus: ...} | {path: ...}."""
     if spec == "free":
         return free_jacobi()
@@ -173,7 +173,7 @@ def cmd_eqm(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "grid_points"}, "eqm config")
     e = _bands_from_config(config)
     try:
-        eq = solve_equilibrium(e, n0=args.nodes or 256, tol=args.tol or 1e-10)
+        eq = solve_equilibrium(e, tol=args.tol or 1e-10)
     except AccuracyError as exc:
         raise CliError(1, f"equilibrium solve failed: {exc}") from exc
     period = rational_harmonic_period(eq.harmonic_measures)
@@ -224,18 +224,13 @@ def cmd_torus(config: dict, args, out: Path) -> int:
 
 def cmd_oprl(config: dict, args, out: Path) -> int:
     _check_keys(config, {"jacobi", "z", "n"}, "oprl config")
-    J = _jacobi_from_config(config.get("jacobi", "free"), args.nodes,
-                            args.tol or 1e-10)
-    zs = config.get("z", [3.0])
+    J = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-10)
+    zs = np.array([complex(zspec[0], zspec[1]) if isinstance(zspec, (list, tuple))
+                   else complex(float(zspec), 0.0) for zspec in config.get("z", [3.0])])
     n = int(config.get("n", 32))
-    rows = []
-    for zspec in zs:
-        z = complex(zspec[0], zspec[1]) if isinstance(zspec, (list, tuple)) \
-            else complex(float(zspec), 0.0)
-        vals = oprl_eval(J, n, z)
-        for k, v in enumerate(np.atleast_1d(vals)):
-            v = complex(v)
-            rows.append((z.real, z.imag, k, v.real, v.imag))
+    vals = oprl_eval(J, n, zs)
+    rows = [(z.real, z.imag, k, v.real, v.imag)
+            for z, col in zip(zs.tolist(), vals.T.tolist()) for k, v in enumerate(col)]
     _write_csv(out, "oprl.csv", ["z_re", "z_im", "n", "p_re", "p_im"],
                rows, config)
     return 0
@@ -250,8 +245,7 @@ def _perturbation_from_config(spec: dict) -> PerturbationSpec:
 
 def cmd_perturb(config: dict, args, out: Path) -> int:
     _check_keys(config, {"base", "perturbation", "n"}, "perturb config")
-    base = _jacobi_from_config(config.get("base", "free"), args.nodes,
-                               args.tol or 1e-10)
+    base = _jacobi_from_config(config.get("base", "free"), args.tol or 1e-10)
     spec = _perturbation_from_config(config.get("perturbation", {}))
     n = int(config.get("n", 64))
     try:
@@ -275,8 +269,7 @@ def cmd_perturb(config: dict, args, out: Path) -> int:
 def cmd_distance(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "jacobi", "m", "grid_per_gap"}, "distance config")
     e = _bands_from_config(config)
-    J = _jacobi_from_config(config.get("jacobi", "free"), args.nodes,
-                            args.tol or 1e-9)
+    J = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-9)
     m = int(config.get("m", 1))
     res = dist_to_torus(J, e, m, grid_per_gap=int(config.get("grid_per_gap", 16)))
     payload = json.loads(res.to_json())
@@ -315,13 +308,11 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         _write_json(out, "sumrule_three_condition.json", doc, config)
     elif exp == "cesaro":
         e = _bands_from_config(config)
-        base = _jacobi_from_config(config.get("jacobi", "free") if "jacobi" in config
-                                   else "free", args.nodes, args.tol or 1e-9)
+        base = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-9)
+        M = int(config.get("M", 100))
         if "perturbation" in config:
             spec = _perturbation_from_config(config["perturbation"])
-            M = int(config.get("M", 100))
             base = apply_perturbation(base, spec, M + 64)
-        M = int(config.get("M", 100))
         avg, dms = cesaro_distance(base, e, M, return_sequence=True)
         payload = {"experiment": exp, "M": M, "cesaro_average": avg}
         _write_json(out, "sumrule_cesaro.json", payload, config)
@@ -382,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--nodes", type=int, default=None)
     ap.add_argument("--quiet", action="store_true")
     return ap
 

@@ -19,13 +19,14 @@ pole conditions below use explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import json
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .bandset import FiniteGapSet
+from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
 from .jacobi import JacobiParams, ExtendTail, SpectralMeasure, \
     measure_from_theta_density, strip_coefficients, free_jacobi
@@ -122,10 +123,7 @@ class MinimalHerglotz:
         return np.polynomial.polynomial.polyval(z, self.S_coeffs)
 
     def _denominator(self, z):
-        out = np.ones_like(np.asarray(z))
-        for g in self.dirichlet.gammas:
-            out = out * (z - g)
-        return out
+        return root_product(z, self.dirichlet.gammas)
 
     def m(self, z):
         """Principal-sheet value; real z evaluates as x + i0."""
@@ -165,7 +163,7 @@ def minimal_herglotz(e: FiniteGapSet, dd: DirichletData) -> MinimalHerglotz:
                 rho[j] = 0.0
                 tau[j] = 0.0
             else:
-                Rg = float(np.prod(g - roots))
+                Rg = float(e.R(g))
                 # branch value on gap j (0-based): (-1)^(l - j) sqrt(R)
                 rho[j] = (-1.0) ** (ell - j) * math.sqrt(Rg)
                 tau[j] = -dd.sheets[j] * rho[j]
@@ -192,7 +190,7 @@ def minimal_herglotz(e: FiniteGapSet, dd: DirichletData) -> MinimalHerglotz:
         beta, alpha = e.gap(j)
         g = gammas[j]
         if g != beta and g != alpha and dd.sheets[j] == +1:
-            others = np.prod(g - np.delete(gammas, j)) if ell > 1 else 1.0
+            others = root_product(g, np.delete(gammas, j))
             w = -2.0 * c * rho[j] / others
             if w <= 0:
                 raise AccuracyError(f"nonpositive pole weight {w}; construction bug")
@@ -214,27 +212,24 @@ def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:
     e = mh.set
     dd = mh.dirichlet
 
-    def theta_fn(j, theta):
-        theta = np.asarray(theta, float)
-        ct = np.cos(theta)
-        t = e.midpoints[j] + e.radii[j] * ct
+    # per band: the constant factor, the powers of (1 - cos) and (1 + cos)
+    # left in sin^2 after cancelling edge gammas, and the off-edge gammas
+    factors = []
+    for j, (a, b) in enumerate(e.bands):
         rad = e.radii[j]
-        a, b = e.bands[j]
-        num = np.full_like(theta, mh.c / np.pi * rad * rad)
-        pow_minus = 1  # (1 - cos) factor from sin^2, cancels a right-edge gamma
-        pow_plus = 1   # (1 + cos) factor, cancels a left-edge gamma
-        den = np.ones_like(theta)
+        num = mh.c / np.pi * rad * rad
         for g in dd.gammas:
-            if g == b:
-                pow_minus -= 1
+            if g == a or g == b:
                 num /= rad
-            elif g == a:
-                pow_plus -= 1
-                num /= rad
-            else:
-                den = den * np.abs(t - g)
+        factors.append((num, 1 - dd.gammas.count(b), 1 - dd.gammas.count(a),
+                        [g for g in dd.gammas if g != a and g != b]))
+
+    def theta_fn(j, theta):
+        ct = np.cos(np.asarray(theta, float))
+        t = e.midpoints[j] + e.radii[j] * ct
+        num, pow_minus, pow_plus, off_edge = factors[j]
         h = num * (1.0 - ct) ** pow_minus * (1.0 + ct) ** pow_plus
-        return h * np.sqrt(np.abs(e.rest_product(j, t))) / den
+        return h * np.sqrt(np.abs(e.rest_product(j, t))) / np.abs(root_product(t, off_edge))
 
     masses = [(g, w) for g, w in zip(dd.gammas, mh.pole_weights) if w > 0]
     # a gamma close to (but not on) a band edge puts a boundary layer of width
@@ -392,9 +387,8 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
         best_val = math.inf
         best_phis = None
         angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-        grids = np.meshgrid(*([angles] * e.ell), indexing="ij")
-        for idx in np.ndindex(*grids[0].shape):
-            phis = np.array([g[idx] for g in grids])
+        for phis in itertools.product(angles, repeat=e.ell):
+            phis = np.array(phis)
             val, _ = objective_angles(phis)
             if val < best_val:
                 best_val, best_phis = val, phis

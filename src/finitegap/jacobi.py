@@ -160,69 +160,75 @@ def write_coeff_csv(J: JacobiParams, n: int, path):
 # orthonormal polynomials and transfer matrices
 
 
-def oprl_eval(J: JacobiParams, n: int, z) -> np.ndarray:
-    """Values p_0(z)..p_n(z) by the three-term recursion (unscaled).
+def _oprl_scaled(J: JacobiParams, n: int, z):
+    """Scaled values of p_{-1} = 0, p_0, ..., p_n at every entry of z.
 
-    Overflows for large n at z far outside the spectrum; use
-    oprl_log_abs/oprl_scaled_last there.
+    Returns (mant, exp2), each of shape (n + 2,) + shape(z), with
+    p_{k-1}(z) = mant[k] * 2**exp2[k].  The pair (p_{k-1}, p_k) is rescaled
+    by 2^-+500 when max(|p_{k-1}|, |p_k|) has left [2^-500, 2^500]; powers of
+    two are exact, so the values are those of the plain recursion wherever
+    that stays finite.  Real z runs in float64, complex z in complex128.
     """
     a, b = J.coeffs(max(n, 1))
-    zc = complex(z)
-    dtype = complex if isinstance(z, complex) or zc.imag != 0 else float
-    zv = zc if dtype is complex else zc.real
-    p = np.empty(n + 1, dtype)
-    p[0] = 1.0
-    if n == 0:
-        return p
-    p[1] = (zv - b[0]) / a[0]
-    for k in range(1, n):
-        p[k + 1] = ((zv - b[k]) * p[k] - a[k - 1] * p[k - 1]) / a[k]
-    return p
+    z = np.asarray(z, complex if np.iscomplexobj(z) else float)
+    shape = z.shape
+    # always 1-d: numpy's scalar and array complex products round differently
+    z = z.ravel()
+    zb = z - b[:n, None]
+    # step k scales max(|p_{k-1}|, |p_k|) up or down by at most 2^drift[k]
+    # (solve the recursion for p_{k+1}, or for p_{k-1}; ap[0] is a stand-in,
+    # as p_{-1} = 0), so the range is checked only before the drift since
+    # the last check passes 400 bits: the pair then stays within 2^-+900,
+    # far from overflow and subnormals
+    ak, ap = a[:n], np.roll(a[:n], 1)
+    drift = np.log2(np.maximum(1.0, (np.abs(zb).max(axis=1, initial=0.0)
+                                     + np.maximum(ak, ap)) / np.minimum(ak, ap))).tolist()
+    mant = np.zeros((n + 2, z.size), z.dtype)
+    exp2 = np.zeros((n + 2, z.size), int)
+    mant[1] = 1.0
+    pm, pc = mant[0], mant[1]
+    budget = 0.0
+    for k in range(n):
+        budget += drift[k]
+        if budget > 400:
+            budget = drift[k]
+            mx = np.maximum(np.abs(pm), np.abs(pc))
+            shift = np.where(mx > 2.0**500, 500,
+                             np.where((mx > 0) & (mx < 2.0**-500), -500, 0))
+            if shift.any():
+                scale = np.ldexp(1.0, -shift)
+                pm, pc = pm * scale, pc * scale
+                exp2[k + 2:] += shift
+        pm, pc = pc, (zb[k] * pc - a[k - 1] * pm) / a[k]
+        mant[k + 2] = pc
+    return mant.reshape((n + 2,) + shape), exp2.reshape((n + 2,) + shape)
+
+
+def oprl_eval(J: JacobiParams, n: int, z) -> np.ndarray:
+    """Values p_0(z)..p_n(z), shape (n + 1,) + shape(z).
+
+    Overflows to inf where |p_k| exceeds the double range; use
+    oprl_log_abs/oprl_scaled_last there.
+    """
+    mant, exp2 = _oprl_scaled(J, n, z)
+    return mant[1:] * np.ldexp(1.0, exp2[1:])
+
 
 def oprl_scaled_last(J: JacobiParams, n: int, z):
     """(mantissa pair (p_{n-1}, p_n), base-2 exponent) with rescaling.
 
     p_n(z) = mant[1] * 2**exp2; safe for n ~ 1e3 far outside the hull.
     """
-    a, b = J.coeffs(max(n, 1))
-    zv = complex(z)
-    pm, pc = 0j, 1 + 0j
-    exp2 = 0
-    for k in range(n):
-        ak = a[k]
-        am1 = a[k - 1] if k > 0 else 1.0
-        nxt = ((zv - b[k]) * pc - (am1 * pm if k > 0 else 0.0)) / ak
-        pm, pc = pc, nxt
-        mx = max(abs(pm.real), abs(pm.imag), abs(pc.real), abs(pc.imag))
-        if mx > 2.0**500:
-            pm *= 2.0**-500
-            pc *= 2.0**-500
-            exp2 += 500
-        elif 0 < mx < 2.0**-500:
-            pm *= 2.0**500
-            pc *= 2.0**500
-            exp2 -= 500
-    return (pm, pc), exp2
+    mant, exp2 = _oprl_scaled(J, n, z)
+    ex = int(exp2[n + 1])
+    return (mant[n] * 2.0 ** (int(exp2[n]) - ex), mant[n + 1]), ex
 
 
 def oprl_log_abs(J: JacobiParams, n: int, z) -> np.ndarray:
     """log|p_k(z)| for k = 0..n, computed with overflow-safe rescaling."""
-    a, b = J.coeffs(max(n, 1))
-    zv = complex(z)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    pm, pc = 0j, 1 + 0j
-    logscale = 0.0
-    for k in range(n):
-        nxt = ((zv - b[k]) * pc - (a[k - 1] * pm if k > 0 else 0.0)) / a[k]
-        pm, pc = pc, nxt
-        m = abs(pc)
-        out[k + 1] = logscale + (np.log(m) if m > 0 else -np.inf)
-        if m > 1e200 or (m != 0 and m < 1e-200):
-            pm /= m
-            pc /= m
-            logscale += np.log(m)
-    return out
+    mant, exp2 = _oprl_scaled(J, n, z)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(mant[1:])) + exp2[1:] * math.log(2.0)
 
 
 def transfer_growth(J: JacobiParams, lam: float, N: int) -> float:

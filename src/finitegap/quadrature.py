@@ -73,9 +73,12 @@ def inv_joukowski(zeta) -> np.ndarray:
     Maps C \\ [-1,1] into the open unit disk; on [-1,1] itself |u| = 1.
     Computed as 1/(zeta + s) with s = sqrt(zeta-1)sqrt(zeta+1) ~ zeta at
     infinity: algebraically equal to zeta - s but free of the cancellation
-    that form suffers for large |zeta|.
+    that form suffers for large |zeta|.  Adding 0.0 turns an imaginary part
+    of -0 into +0 (real zeta means zeta + i0); otherwise zeta - 1 keeps the
+    -0, zeta + 1 drops it, and the two square roots land on opposite sides
+    of the cut.
     """
-    zeta = np.asarray(zeta, complex)
+    zeta = np.asarray(zeta, complex) + 0.0
     s = np.sqrt(zeta - 1) * np.sqrt(zeta + 1)
     return 1.0 / (zeta + s)
 

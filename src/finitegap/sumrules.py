@@ -10,6 +10,7 @@ No experiment ever asserts a theorem false.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import json
 import math
 import warnings
@@ -19,7 +20,7 @@ import numpy as np
 from .bandset import (EquilibriumData, FiniteGapSet, dist_to_set,
                       solve_equilibrium)
 from .errors import MeasureError
-from .isotorus import d_m, dist_to_torus, dirichlet_from_angles, torus_jacobi
+from .isotorus import dist_to_torus, dirichlet_from_angles, torus_jacobi
 from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, free_jacobi,
                      oprl_scaled_last, strip_coefficients,
                      truncation_eigenvalues_outside)
@@ -286,11 +287,15 @@ def lt_finite_gap_constant(e: FiniteGapSet, dd, n_samples: int = 10,
     """Empirical estimate of the unknown constant in the finite-gap LT bound
     sum dist(x_n, e)^{1/2} <= C_0 + C * sum(|delta a_n| + |delta b_n|).
 
-    Returns the max observed ratio (lhs - C_0)/sum|delta| over a seeded family
-    of l^1 perturbations of the torus point dd, with the per-sample data.
+    Returns the max observed ratio (lhs - baseline)/sum|delta| over a seeded
+    family of l^1 perturbations of the torus point dd, with the per-sample
+    data.  The baseline is the LT sum of the unperturbed point's own n_trunc
+    truncation: C_0 bounds that sum from above, so lhs - C_0 is rarely
+    positive and measures nothing.  "probed" is False when no sample exceeds
+    the baseline; C_estimate = 0 then carries no information.
     """
     tp = torus_jacobi(e, dd, n_trunc)
-    c0 = lt_c0(e)
+    baseline = lt_sum(truncation_eigenvalues_outside(tp.params, e, n_trunc), e, 0.5)
     rows = []
     worst = 0.0
     for i in range(n_samples):
@@ -301,12 +306,13 @@ def lt_finite_gap_constant(e: FiniteGapSet, dd, n_samples: int = 10,
         lhs = lt_sum(evs, e, 0.5)
         da, db = spec.deltas(n_trunc)
         denom = float(np.abs(da).sum() + np.abs(db).sum())
-        ratio = max(lhs - c0, 0.0) / denom
+        ratio = max(lhs - baseline, 0.0) / denom
         worst = max(worst, ratio)
         rows.append({"seed": seed + i, "lhs": lhs, "denom": denom,
                      "ratio": ratio})
-    return {"C_estimate": worst, "C_0": c0, "samples": rows,
-            "n_trunc": n_trunc}
+    return {"C_estimate": worst, "C_0": lt_c0(e), "baseline": baseline,
+            "probed": any(r["lhs"] > baseline for r in rows),
+            "samples": rows, "n_trunc": n_trunc}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ def szego_ratio(J: JacobiParams, z: complex, n: int,
         (_, qn), ey = oprl_scaled_last(reference, n, z)
         if qn == 0:
             raise ZeroDivisionError("reference polynomial vanished off the hull")
-        return (pn / qn) * 2.0 ** (ex - ey)
+        return complex(pn / qn) * 2.0 ** (ex - ey)
     zc = complex(z)
     B = (zc + np.sqrt(complex(zc * zc - 4.0))) / 2.0
     if abs(B) < 1.0:
@@ -447,13 +453,8 @@ def oscillatory_spec(omega, k_vector, amplitude: float, decay: float,
 
 
 def _k_vectors(ell: int, kmax: int):
-    if ell == 0:
-        yield np.zeros(0, int)
-        return
-    rng = range(-kmax, kmax + 1)
-    grids = np.meshgrid(*([list(rng)] * ell), indexing="ij")
-    for idx in np.ndindex(*grids[0].shape):
-        yield np.array([g[idx] for g in grids])
+    for k in itertools.product(range(-kmax, kmax + 1), repeat=ell):
+        yield np.array(k, int)
 
 
 def twisted_sum_report(spec: PerturbationSpec, omega, k_list, N: int = 1 << 14,
@@ -497,22 +498,16 @@ def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
                     return_sequence: bool = False):
     """(1/M) sum_{m=1..M} d_m(J, T_e)^2.
 
-    For a gapless set the torus is the single free matrix and each d_m is
-    direct; otherwise dist_to_torus runs per m, warm-started at the previous
-    argmin.
+    dist_to_torus runs per m, warm-started at the previous argmin; for a
+    gapless set it returns d_m against the free matrix directly.
     """
     dms = np.empty(M)
-    if e.ell == 0:
-        ref = free_jacobi()
-        for m in range(1, M + 1):
-            dms[m - 1] = d_m(J, ref, m)
-    else:
-        witness = None
-        for m in range(1, M + 1):
-            res = dist_to_torus(J, e, m, grid_per_gap=grid_per_gap,
-                                strip_tol=strip_tol, initial=witness)
-            dms[m - 1] = res.value
-            witness = res.dirichlet
+    witness = None
+    for m in range(1, M + 1):
+        res = dist_to_torus(J, e, m, grid_per_gap=grid_per_gap,
+                            strip_tol=strip_tol, initial=witness)
+        dms[m - 1] = res.value
+        witness = res.dirichlet
     avg = float(np.mean(dms**2))
     return (avg, dms) if return_sequence else avg
 
@@ -647,9 +642,7 @@ def _torus_grid_deviation(e: FiniteGapSet, J: JacobiParams, N: int,
         return float(np.max(np.abs(aJ[lo:] - 1.0) + np.abs(bJ[lo:])))
     best = math.inf
     angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-    grids = np.meshgrid(*([angles] * e.ell), indexing="ij")
-    for idx in np.ndindex(*grids[0].shape):
-        phis = [g[idx] for g in grids]
+    for phis in itertools.product(angles, repeat=e.ell):
         tp = torus_jacobi(e, dirichlet_from_angles(e, phis), N, strip_tol=1e-8)
         at, bt = tp.params.coeffs(N)
         dev = float(np.max(np.abs(aJ[lo:] - at[lo:]) + np.abs(bJ[lo:] - bt[lo:])))

@@ -116,3 +116,24 @@ def free_pn(z, n):
     if abs(u) < 1:
         u = 1 / u
     return (u ** (n + 1) - u ** -(n + 1)) / (u - 1 / u)
+
+
+def root_product_mp(t, roots, dps=50):
+    """prod_r (t - r) at each t, in dps-digit arithmetic on the float inputs."""
+    import mpmath
+    with mpmath.workdps(dps):
+        out = []
+        for x in np.atleast_1d(t):
+            p = mpmath.mpf(1)
+            for r in roots:
+                p *= mpmath.mpf(float(x)) - mpmath.mpf(float(r))
+            out.append(float(p))
+    return np.array(out)
+
+
+def oprl_plain(a, b, n, z):
+    """p_0(z)..p_n(z) by the unscaled three-term recursion in Python scalars."""
+    p = [1.0, (z - b[0]) / a[0]]
+    for k in range(1, n):
+        p.append(((z - b[k]) * p[k] - a[k - 1] * p[k - 1]) / a[k])
+    return np.array(p[:n + 1])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import finitegap as fg
 from finitegap.errors import DomainError, FiniteGapError
@@ -67,6 +67,28 @@ def test_R_sign_structure():
     xs = np.linspace(beta, alpha, 21)[1:-1]
     assert np.all(e.R(xs) > 0)
     assert e.R(np.array(3.0)) > 0 and e.R(np.array(-3.0)) > 0
+
+
+def test_root_products_mpmath_oracle_many_gaps():
+    # 50-digit products over the same float64 roots, up to l = 16 gaps
+    pytest.importorskip("mpmath")
+    from conftest import random_band_set
+    rng = np.random.default_rng(16)
+    for ell in (0, 1, 3, 7, 12, 16):
+        e = random_band_set(rng, ell)
+        lo, hi = e.hull
+        t = rng.uniform(lo - 1.0, hi + 1.0, 25)
+        pts = list(e.endpoints)
+        zeros = [rng.uniform(*e.gap(j)) for j in range(ell)]
+        eq = fg.EquilibriumData(e, np.array(zeros), 0.0, 1.0, np.ones(ell + 1), (), 0)
+        cases = [(e.R(t), pts), (eq.q_poly(t), zeros)]
+        cases += [(e.rest_product(j, t), pts[:2 * j] + pts[2 * j + 2:])
+                  for j in range(e.n_bands)]
+        cases += [(e.gap_rest_product(j, t), pts[:2 * j + 1] + pts[2 * j + 3:])
+                  for j in range(ell)]
+        for got, roots in cases:
+            want = oracles.root_product_mp(t, roots)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (ell, len(roots))
 
 
 def test_json_round_trip():
@@ -267,6 +289,7 @@ def test_joukowski_examples():
 
 @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                           allow_nan=False, allow_infinity=False))
+@example(complex(-2.0, -5e-324))  # x = -2.5 - 0j after halving
 @settings(max_examples=200, deadline=None)
 def test_joukowski_round_trip(z):
     x = fg.joukowski(z)

@@ -91,6 +91,39 @@ def test_oprl_scaled_matches_plain():
         assert la[40] == pytest.approx(np.log(abs(p[40])), rel=1e-12)
 
 
+def test_oprl_eval_vectorized_over_z():
+    J = fg.JacobiParams(np.array([1.3, 0.9, 1.1]), np.array([0.2, -0.1, 0.05]))
+    a, b = J.coeffs(60)
+    zs = np.array([3.0, -2.7 + 0.4j, 0.5, 1.5j, -2.0])
+    p = fg.oprl_eval(J, 60, zs)
+    assert p.shape == (61, len(zs))
+    assert np.array_equal(p, np.stack([fg.oprl_eval(J, 60, z) for z in zs], axis=1))
+    # real z run in float64, exactly as the plain recursion
+    xs = zs.real[[0, 2, 4]]
+    real = fg.oprl_eval(J, 60, xs)
+    assert real.dtype == np.float64 and fg.oprl_eval(J, 60, 3.0).dtype == np.float64
+    for col, x in zip(real.T, xs):
+        assert np.array_equal(col, oracles.oprl_plain(a, b, 60, float(x)))
+    # complex products and divisions round differently in numpy and Python
+    for col, z in zip(p.T, zs):
+        np.testing.assert_allclose(col, oracles.oprl_plain(a, b, 60, complex(z)),
+                                   rtol=1e-13, atol=0)
+
+
+def test_oprl_rescaling_both_directions():
+    # z = 0, a = 1, 8, 1, 8, ...: odd p vanish and p_{2m} = (-1/8)^m, so the
+    # pair shrinks past the smallest double; every value is a power of two
+    J = fg.JacobiParams(np.tile([1.0, 8.0], 400), np.zeros(800))
+    (pm, pc), ex = fg.oprl_scaled_last(J, 800, 0.0)
+    assert pm == 0.0 and ex % 500 == 0 and pc == 2.0 ** (-1200 - ex)
+    assert fg.oprl_log_abs(J, 800, 0.0)[800] == pytest.approx(-1200 * np.log(2), rel=1e-14)
+    # |z| = 1e6 on the free matrix: about 20 bits of growth per step
+    u = (1e6 + np.sqrt(1e12 - 4)) / 2
+    n = np.arange(401)
+    expect = (n + 1) * np.log(u) - np.log(u - 1 / u)
+    assert np.abs(fg.oprl_log_abs(fg.free_jacobi(), 400, 1e6) - expect).max() < 1e-9
+
+
 def test_oprl_scaled_no_overflow():
     # |p_n(3)| ~ ((3+sqrt(5))/2)^n overflows doubles near n = 750
     (pm, pc), ex = fg.oprl_scaled_last(fg.free_jacobi(), 1000, 3.0)

@@ -125,6 +125,19 @@ def test_lt_finite_gap_constant_reportable():
     assert len(rep["samples"]) == 3
 
 
+def test_lt_finite_gap_constant_measures_against_baseline():
+    # every lhs here stays below C_0 = 1, so measuring against C_0 reads C = 0
+    e = fg.make_band_set([-2, -1, 1, 2])
+    dd = fg.dirichlet_data(e, [(0.0, -1)])
+    rep = lt_finite_gap_constant(e, dd, n_samples=4, n_trunc=250)
+    lhs = [r["lhs"] for r in rep["samples"]]
+    assert max(lhs) < rep["C_0"]
+    assert rep["probed"] is True
+    assert rep["C_estimate"] == pytest.approx(max(
+        (r["lhs"] - rep["baseline"]) / r["denom"] for r in rep["samples"]))
+    assert rep["C_estimate"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # Szego integrals
 
