@@ -6,7 +6,7 @@ capacity-normalized product range, and the reflectionless residual.  Useful
 for eyeballing continuity of the data -> coefficients map across gap edges.
 
 Usage:
-    python scripts/torus_gallery.py --out results [--bands " -2,-1,1,2"] [--samples 24]
+    python scripts/torus_gallery.py --out results [--bands=-2,-1,1,2] [--samples 24]
 """
 import argparse
 from pathlib import Path

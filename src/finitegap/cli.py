@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eqm, torus, oprl, perturb, sumrule, distance, report.
-Global flags: --config PATH, --out DIR, --seed U64, --tol FLOAT, --quiet.
+Global flags: --config PATH, --out DIR, --seed U64, --tol FLOAT (eqm), --quiet.
 Exit codes: 0 success, 1 hard invariant violation, 2 bad input, 3 missing
 dependency file.
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandset import (equilibrium_density, green, make_band_set, potential,
+from .bandset import (equilibrium_density, make_band_set, potential,
                       rational_harmonic_period, solve_equilibrium)
 from .errors import AccuracyError, DomainError, FiniteGapError, MeasureError
 from .isotorus import DirichletData, dirichlet_data, dist_to_torus, torus_jacobi
@@ -101,7 +101,7 @@ def _bands_from_config(config: dict):
         raise CliError(2, f"invalid band set: {exc}") from exc
 
 
-def _jacobi_from_config(spec, tol: float):
+def _jacobi_from_config(spec):
     """Build coefficients from 'free' | {jacobi: ...} | {torus: ...} | {path: ...}."""
     if spec == "free":
         return free_jacobi()
@@ -117,7 +117,7 @@ def _jacobi_from_config(spec, tol: float):
         _check_keys(t, {"bands", "dirichlet", "n"}, "torus spec")
         e = _bands_from_config(t)
         dd = _dirichlet_from_config(e, t.get("dirichlet", []))
-        return torus_jacobi(e, dd, int(t.get("n", 64)), strip_tol=tol).params
+        return torus_jacobi(e, dd, int(t.get("n", 64))).params
     if "head_a" in spec:
         try:
             return JacobiParams.from_json(json.dumps(spec))
@@ -189,9 +189,10 @@ def cmd_eqm(config: dict, args, out: Path) -> int:
     for j in range(e.n_bands):
         a, b = e.bands[j]
         pad = (b - a) * 1e-6
-        for x in np.linspace(a + pad, b - pad, gp):
-            rows.append((x, equilibrium_density(eq, float(x)),
-                         potential(eq, complex(x)), green(eq, complex(x))))
+        xs = np.linspace(a + pad, b - pad, gp)
+        phi = potential(eq, xs.astype(complex)).tolist()
+        rows += [(x, equilibrium_density(eq, x), p, eq.robin_constant - p)
+                 for x, p in zip(xs.tolist(), phi)]
     _write_json(out, "equilibrium.json", payload, config)
     _write_csv(out, "eqm_grid.csv", ["x", "w", "phi", "green"], rows, config)
     if not args.quiet:
@@ -205,7 +206,7 @@ def cmd_torus(config: dict, args, out: Path) -> int:
     e = _bands_from_config(config)
     dd = _dirichlet_from_config(e, config.get("dirichlet", []))
     n = int(config.get("n", 64))
-    tp = torus_jacobi(e, dd, n, strip_tol=args.tol or 1e-10)
+    tp = torus_jacobi(e, dd, n)
     a, b = tp.params.coeffs(n)
     payload = {"bands": [list(x) for x in e.bands],
                "dirichlet": [{"gamma": g, "sheet": s}
@@ -224,7 +225,7 @@ def cmd_torus(config: dict, args, out: Path) -> int:
 
 def cmd_oprl(config: dict, args, out: Path) -> int:
     _check_keys(config, {"jacobi", "z", "n"}, "oprl config")
-    J = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-10)
+    J = _jacobi_from_config(config.get("jacobi", "free"))
     zs = np.array([complex(zspec[0], zspec[1]) if isinstance(zspec, (list, tuple))
                    else complex(float(zspec), 0.0) for zspec in config.get("z", [3.0])])
     n = int(config.get("n", 32))
@@ -245,7 +246,7 @@ def _perturbation_from_config(spec: dict) -> PerturbationSpec:
 
 def cmd_perturb(config: dict, args, out: Path) -> int:
     _check_keys(config, {"base", "perturbation", "n"}, "perturb config")
-    base = _jacobi_from_config(config.get("base", "free"), args.tol or 1e-10)
+    base = _jacobi_from_config(config.get("base", "free"))
     spec = _perturbation_from_config(config.get("perturbation", {}))
     n = int(config.get("n", 64))
     try:
@@ -269,7 +270,7 @@ def cmd_perturb(config: dict, args, out: Path) -> int:
 def cmd_distance(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "jacobi", "m", "grid_per_gap"}, "distance config")
     e = _bands_from_config(config)
-    J = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-9)
+    J = _jacobi_from_config(config.get("jacobi", "free"))
     m = int(config.get("m", 1))
     res = dist_to_torus(J, e, m, grid_per_gap=int(config.get("grid_per_gap", 16)))
     payload = json.loads(res.to_json())
@@ -308,7 +309,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         _write_json(out, "sumrule_three_condition.json", doc, config)
     elif exp == "cesaro":
         e = _bands_from_config(config)
-        base = _jacobi_from_config(config.get("jacobi", "free"), args.tol or 1e-9)
+        base = _jacobi_from_config(config.get("jacobi", "free"))
         M = int(config.get("M", 100))
         if "perturbation" in config:
             spec = _perturbation_from_config(config["perturbation"])

@@ -15,21 +15,28 @@ of the measure; sigma_j = -1 and edge positions produce none.
 The sqrt(R) branch is the single-valued one of FiniteGapSet.sqrt_R (positive
 on (b_{l+1}, inf)); its value on gap j is (-1)^(l+1-j) sqrt(|R|), which the
 pole conditions below use explicitly.
+
+Jacobi coefficients come from stripping m exactly (_StrippingTail): one step
+per coefficient, O(l^2) polynomial arithmetic and no quadrature.  The
+spectral measure (torus_measure) is built only when it is asked for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import minimize
 
 from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
 from .jacobi import JacobiParams, ExtendTail, SpectralMeasure, \
-    measure_from_theta_density, strip_coefficients, free_jacobi
+    measure_from_theta_density, free_jacobi
 
 
 @dataclass(frozen=True)
@@ -238,36 +245,83 @@ def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:
                                       n_max=16384)
 
 
+class _StrippingTail:
+    """Jacobi coefficients of m = c (sqrt(R) - S)/G, G = prod (z - gamma_j).
+
+    With kappa = -1/c, R - S^2 = 2 kappa G H exactly for a monic H of degree
+    l, so -1/m = (sqrt(R) + S)/(2H) = z - b_1 + a_1^2 m_1, where m_1 has the
+    same form with S' = 2(z - b_1)H - S, G' = H, kappa' = e_2 - s'_{l-1} and
+    a_1^2 = -kappa'/2.  The state is kept, so a longer tail continues where
+    the last one stopped.  H's leading coefficient and the top two of S are
+    reset to their exact values (1; 1, e_1) on every step: left to rounding
+    they drift until the recursion breaks down.
+    """
+
+    def __init__(self, mh: MinimalHerglotz):
+        ell = mh.set.ell
+        self.R = P.polyfromroots(mh.set.endpoints)
+        self.S = np.array(mh.S_coeffs, float)
+        self.G = P.polyfromroots(mh.dirichlet.gammas)
+        self.kappa = -1.0 / mh.c
+        self.e1 = self.S[ell]
+        self.e2 = self.kappa + (self.S[ell - 1] if ell else 0.0)
+        self.a, self.b = [], []
+        self._lock = threading.Lock()
+
+    def _step(self):
+        ell = len(self.G) - 1
+        # H = (R - S^2)/(2 kappa G): the top two coefficients cancel exactly,
+        # the rest is divided by the monic G from the top
+        rem = (self.R - np.convolve(self.S, self.S))[:2 * ell + 1] / (2 * self.kappa)
+        H = np.empty(ell + 1)
+        for k in range(ell, -1, -1):
+            H[k] = rem[k + ell]
+            rem[k:k + ell + 1] -= H[k] * self.G
+        H[ell] = 1.0
+        b = (H[ell - 1] if ell else 0.0) - self.e1
+        S = 2 * (np.concatenate([[0.0], H]) - b * np.append(H, 0.0)) - self.S
+        S[ell:] = self.e1, 1.0
+        kappa = self.e2 - (S[ell - 1] if ell else 0.0)
+        if not kappa < 0:
+            raise AccuracyError(f"stripping step {len(self.a) + 1}: a^2 = {-kappa / 2}")
+        self.S, self.G, self.kappa = S, H, kappa
+        self.a.append(math.sqrt(-kappa / 2))
+        self.b.append(b)
+
+    def __call__(self, n: int):
+        with self._lock:
+            while len(self.a) < n:
+                self._step()
+            return np.array(self.a[:n]), np.array(self.b[:n])
+
+
 class TorusPoint:
     """A point of the isospectral torus with lazily extendable coefficients."""
 
-    def __init__(self, e: FiniteGapSet, dd: DirichletData, n: int = 64,
-                 strip_tol: float = 1e-10):
+    def __init__(self, e: FiniteGapSet, dd: DirichletData, n: int = 64):
         self.set = e
         self.dirichlet = dd
         self.herglotz = minimal_herglotz(e, dd)
-        self.measure = torus_measure(self.herglotz)
-        self.strip_tol = strip_tol
-        self._params = strip_coefficients(self.measure, n, tol=strip_tol)
+        self._tail = _StrippingTail(self.herglotz)
+        self.params = self.jacobi_params(n)
 
-    @property
-    def params(self) -> JacobiParams:
-        return self._params
+    @cached_property
+    def measure(self) -> SpectralMeasure:
+        """The spectral measure, built on first access (adaptive quadrature)."""
+        return torus_measure(self.herglotz)
 
     def jacobi_params(self, n: int) -> JacobiParams:
         """Coefficients (a_1..a_n, b_1..b_n) as a JacobiParams with this head.
 
-        Extension beyond previously computed length re-strips at larger N;
-        nothing is extrapolated.
+        The tail continues the stripping recursion; nothing is extrapolated.
         """
-        a, b = self._params.coeffs(n)
-        return JacobiParams(a, b, ExtendTail(self._params.tail.provider, n))
+        a, b = self._tail(n)
+        return JacobiParams(a, b, ExtendTail(self._tail, n))
 
 
-def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int,
-                 strip_tol: float = 1e-10) -> TorusPoint:
+def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     """Torus point with its first n Jacobi coefficients computed."""
-    return TorusPoint(e, dd, n=n, strip_tol=strip_tol)
+    return TorusPoint(e, dd, n=n)
 
 
 def reflectionless_residual(mh: MinimalHerglotz, points_per_band: int = 200,
@@ -298,12 +352,11 @@ def reflectionless_residual(mh: MinimalHerglotz, points_per_band: int = 200,
 # the d_m metric and distance to the torus
 
 
-def d_m(J: JacobiParams, Jp: JacobiParams, m: int, tail_tol: float = 1e-12,
-        return_kmax: bool = False):
+def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
     """d_m(J, J') = sum_{k>=0} e^{-k} (|a_{m+k} - a'_{m+k}| + |b_{m+k} - b'_{m+k}|).
 
     Truncated at k_max once the geometric tail bound (sup of coefficient
-    differences seen so far) * e^{-k_max}/(1 - 1/e) drops below tail_tol.
+    differences seen so far) * e^{-k_max}/(1 - 1/e) drops below 1e-12.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -322,7 +375,7 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, tail_tol: float = 1e-12,
         sup = max(sup, float(diff.max(initial=0.0)))
         k += len(diff)
         bound = max(sup, 1e-30) * math.exp(-k) * geom_tail
-        if bound < tail_tol:
+        if bound < 1e-12:
             break
         if k > 10000:
             raise AccuracyError("d_m tail bound did not close; unbounded coefficients?")
@@ -352,7 +405,6 @@ class TorusDistance:
 
 def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
                   grid_per_gap: int = 16, dd_tol: float = 1e-6,
-                  strip_tol: float = 1e-9, n_extra: int = 42,
                   initial: DirichletData | None = None) -> TorusDistance:
     """Approximate inf over torus points of d_m(J, .) by grid + refinement.
 
@@ -364,16 +416,13 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     gapless set the torus is the single free matrix and d_m is returned
     directly.
     """
-    n_need = m + n_extra
-
     if e.ell == 0:
         val = d_m(J, free_jacobi(), m)
         return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol)
 
     def objective_angles(phis):
         dd = dirichlet_from_angles(e, phis)
-        tp = torus_jacobi(e, dd, n_need, strip_tol=strip_tol)
-        return d_m(J, tp.params, m), dd
+        return d_m(J, torus_jacobi(e, dd, m).params, m), dd
 
     if initial is not None:
         mids = np.array([(e.gap(j)[0] + e.gap(j)[1]) / 2 for j in range(e.ell)])

@@ -61,9 +61,9 @@ class PeriodicTail:
 class ExtendTail:
     """Tail backed by a provider materializing absolute coefficients 1..N.
 
-    Used for torus points (provider re-strips at larger N) and perturbed
-    operators (provider applies the perturbation to the base).  Not JSON
-    serializable.
+    Used for torus points (provider continues the stripping recursion),
+    stripped measures (re-strips at larger N) and perturbed operators
+    (applies the perturbation to the base).  Not JSON serializable.
     """
 
     def __init__(self, provider, head_len: int):
@@ -522,41 +522,36 @@ def _lanczos_coeffs(nodes: np.ndarray, weights: np.ndarray, N: int):
 class _StripProvider:
     """Caching re-strip provider backing the tail of stripped parameters."""
 
-    def __init__(self, mu, tol, nodes0, nodes_max):
+    def __init__(self, mu, tol):
         self.mu = mu
         self.tol = tol
-        self.nodes0 = nodes0
-        self.nodes_max = nodes_max
         self.a = np.empty(0)
         self.b = np.empty(0)
 
     def __call__(self, n: int):
         if n > len(self.a):
             target = max(n, 2 * len(self.a))
-            self.a, self.b = _strip_arrays(self.mu, target, self.tol,
-                                           self.nodes0, self.nodes_max)
+            self.a, self.b = _strip_arrays(self.mu, target, self.tol)
         return self.a[:n], self.b[:n]
 
 
-def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10,
-                       nodes0: int | None = None, nodes_max: int = 1 << 17) -> JacobiParams:
+def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> JacobiParams:
     """First N recursion coefficients of mu via discretized orthogonalization.
 
     The measure is discretized to per-band theta grids plus exact point
-    masses, and the grid is doubled until a_n, b_n (n <= N) change by less
-    than tol.  Moment-matrix methods are deliberately not used.  The result's
-    tail re-strips at larger N on demand (with caching), never extrapolates.
+    masses; the grid, from max(256, 2N + 64) up to 2^17 nodes per band, is
+    doubled until a_n, b_n (n <= N) change by less than tol; no moment
+    matrices.  The cached tail re-strips at larger N, never extrapolates.
     """
-    provider = _StripProvider(mu, tol, nodes0, nodes_max)
+    provider = _StripProvider(mu, tol)
     a, b = provider(N)
     return JacobiParams(a.copy(), b.copy(), ExtendTail(provider, N))
 
 
-def _strip_arrays(mu: SpectralMeasure, N: int, tol: float,
-                  nodes0: int | None, nodes_max: int):
-    n = nodes0 if nodes0 is not None else max(256, 2 * N + 64)
+def _strip_arrays(mu: SpectralMeasure, N: int, tol: float):
+    n = max(256, 2 * N + 64)
     prev = None
-    while n <= nodes_max:
+    while n <= 1 << 17:
         x, w = mu.discretize(n)
         a, b = _lanczos_coeffs(x, w, N)
         state = np.concatenate([a, b])
@@ -565,4 +560,4 @@ def _strip_arrays(mu: SpectralMeasure, N: int, tol: float,
         prev = state
         n *= 2
     raise AccuracyError(f"stripping did not converge below {tol:g} by "
-                        f"{nodes_max} nodes per band")
+                        f"{1 << 17} nodes per band")

@@ -442,19 +442,14 @@ def oscillatory_spec(omega, k_vector, amplitude: float, decay: float,
     omega = np.asarray(omega, float)
     if theta is None:
         theta = float(np.dot(k_vector, omega))
-    for kk in _k_vectors(len(omega), 5):
+    for kk in itertools.product(range(-5, 6), repeat=len(omega)):
         diff = abs(theta - float(np.dot(kk, omega))) % 1.0
         if min(diff, 1.0 - diff) < 1e-9:
             warnings.warn(f"oscillation frequency {theta} matches k.omega for "
-                          f"k = {tuple(kk)}; twisted sums at that k will diverge",
+                          f"k = {kk}; twisted sums at that k will diverge",
                           stacklevel=2)
             break
     return PerturbationSpec(Oscillatory(theta, amplitude, decay, phase), target)
-
-
-def _k_vectors(ell: int, kmax: int):
-    for k in itertools.product(range(-kmax, kmax + 1), repeat=ell):
-        yield np.array(k, int)
 
 
 def twisted_sum_report(spec: PerturbationSpec, omega, k_list, N: int = 1 << 14,
@@ -494,7 +489,6 @@ def twisted_sum_report(spec: PerturbationSpec, omega, k_list, N: int = 1 << 14,
 
 
 def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
-                    grid_per_gap: int = 16, strip_tol: float = 1e-9,
                     return_sequence: bool = False):
     """(1/M) sum_{m=1..M} d_m(J, T_e)^2.
 
@@ -504,8 +498,7 @@ def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
     dms = np.empty(M)
     witness = None
     for m in range(1, M + 1):
-        res = dist_to_torus(J, e, m, grid_per_gap=grid_per_gap,
-                            strip_tol=strip_tol, initial=witness)
+        res = dist_to_torus(J, e, m, initial=witness)
         dms[m - 1] = res.value
         witness = res.dirichlet
     avg = float(np.mean(dms**2))
@@ -643,7 +636,7 @@ def _torus_grid_deviation(e: FiniteGapSet, J: JacobiParams, N: int,
     best = math.inf
     angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
     for phis in itertools.product(angles, repeat=e.ell):
-        tp = torus_jacobi(e, dirichlet_from_angles(e, phis), N, strip_tol=1e-8)
+        tp = torus_jacobi(e, dirichlet_from_angles(e, phis), N)
         at, bt = tp.params.coeffs(N)
         dev = float(np.max(np.abs(aJ[lo:] - at[lo:]) + np.abs(bJ[lo:] - bt[lo:])))
         best = min(best, dev)

@@ -137,3 +137,19 @@ def oprl_plain(a, b, n, z):
     for k in range(1, n):
         p.append(((z - b[k]) * p[k] - a[k - 1] * p[k - 1]) / a[k])
     return np.array(p[:n + 1])
+
+
+def continued_fraction_m(a, b, z):
+    """m(z) = 1/(b_1 - z - a_1^2/(b_2 - z - ...)), cut after len(a) levels."""
+    t = 0j
+    for ak, bk in zip(a[::-1], b[::-1]):
+        t = 1.0 / (bk - z - ak * ak * t)
+    return t
+
+
+def torus_lanczos(mh, N):
+    """First N coefficients of a minimal Herglotz function by quadrature of its
+    spectral measure and Lanczos stripping (a route that shares no code with
+    the exact stripping recursion)."""
+    import finitegap as fg
+    return fg.strip_coefficients(fg.torus_measure(mh), N, tol=1e-12)

@@ -40,7 +40,7 @@ def regularity_data():
         eq = fg.solve_equilibrium(e)
         for _ in range(5):
             dd = fg.random_dirichlet(e, rng)
-            tp = fg.torus_jacobi(e, dd, 500, strip_tol=1e-8)
+            tp = fg.torus_jacobi(e, dd, 500)
             out.append((e, eq, dd, tp))
     return out
 

@@ -1,11 +1,15 @@
+from concurrent.futures import ThreadPoolExecutor
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import finitegap as fg
-from finitegap.errors import FiniteGapError
+from finitegap.errors import AccuracyError, FiniteGapError
 
 import oracles
+from conftest import random_band_set
 
 
 E2 = fg.make_band_set([-2.0, 2.0])
@@ -193,6 +197,79 @@ def test_jacobi_params_extension(period2_torus):
     a, b = J.coeffs(40)  # forces tail extension through re-stripping
     s5 = np.sqrt(5.0)
     assert np.abs(np.sort(a[20:22]) - [(s5 - 1) / 2, (s5 + 1) / 2]).max() < 1e-6
+
+
+def _stripping_cases():
+    """Seeded (set, Dirichlet data) pairs for l = 0..4: interior points on
+    random sheets, and every gamma on a gap edge."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for ell in range(5):
+        for _ in range(2):
+            e = random_band_set(rng, ell)
+            cases.append((e, fg.random_dirichlet(e, rng)))
+        cases.append((e, fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi)))
+    return cases
+
+
+def test_stripping_continued_fraction_reproduces_m():
+    for e, dd in _stripping_cases():
+        a, b = fg.torus_jacobi(e, dd, 80).params.coeffs(80)
+        mh = fg.minimal_herglotz(e, dd)
+        lo, hi = e.bands[0][0], e.bands[-1][1]
+        for z in (hi + 1.0, lo - 0.8, (lo + hi) / 2 + 2j):
+            got = oracles.continued_fraction_m(a, b, z)
+            assert abs(got - complex(mh.m(z))) < 1e-12, (e.bands, dd, z)
+
+
+def test_stripping_matches_lanczos_oracle():
+    for e, dd in _stripping_cases():
+        a, b = fg.torus_jacobi(e, dd, 128).params.coeffs(128)
+        ar, br = oracles.torus_lanczos(fg.minimal_herglotz(e, dd), 128).coeffs(128)
+        assert max(np.abs(a - ar).max(), np.abs(b - br).max()) < 1e-8, (e.bands, dd)
+
+
+def test_torus_point_near_gap_edge(period2_set):
+    # a gamma 1e-10 (relative) from a band edge puts a boundary layer of width
+    # ~1e-5 into the theta-density, too thin for its cosine coefficients;
+    # exact stripping never builds the measure
+    beta, alpha = period2_set.gap(0)
+    for sheet in (-1, 1):
+        near = fg.dirichlet_data(period2_set, [(beta + 1e-10 * (alpha - beta), sheet)])
+        tp = fg.torus_jacobi(period2_set, near, 64)
+        assert "measure" not in vars(tp)
+        edge = fg.torus_jacobi(period2_set, fg.dirichlet_data(period2_set, [(beta, sheet)]), 64)
+        a, b = tp.params.coeffs(64)
+        a0, b0 = edge.params.coeffs(64)
+        assert np.abs(a - a0).max() + np.abs(b - b0).max() < 1e-4
+    with pytest.raises(AccuracyError):
+        tp.measure
+
+
+def test_stripping_tail_shared_between_threads(period2_set):
+    # one torus tail extended from many threads must match a sequential run
+    dd = fg.dirichlet_data(period2_set, [(0.3, +1)])
+    ref_a, ref_b = fg.torus_jacobi(period2_set, dd, 400).params.coeffs(400)
+    sizes = range(40, 401, 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            J = fg.torus_jacobi(period2_set, dd, 1).params
+            with ThreadPoolExecutor(8) as pool:
+                outs = list(pool.map(J.coeffs, sizes, timeout=120))
+            for n, (a, b) in zip(sizes, outs):
+                assert np.array_equal(a, ref_a[:n]) and np.array_equal(b, ref_b[:n])
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_period2_stays_periodic_deep(period2_torus):
+    a, b = period2_torus.params.coeffs(10_002)
+    s5 = np.sqrt(5.0)
+    assert np.abs(a[-2:] - a[-4:-2]).max() + np.abs(b[-2:] - b[-4:-2]).max() < 1e-10
+    assert np.abs(np.sort(a[-2:]) - [(s5 - 1) / 2, (s5 + 1) / 2]).max() < 1e-10
+    assert np.abs(b[-2:]).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,8 @@ def test_oscillatory_gamma_validation():
 
 def test_oscillatory_spec_warns_on_resonance(eq_twoband):
     omega = eq_twoband.harmonic_measures[:1]
-    with pytest.warns(UserWarning, match="matches k.omega"):
+    # the k-vector prints as plain ints, not numpy scalars
+    with pytest.warns(UserWarning, match=r"matches k.omega for k = \(-5,\);"):
         fg.oscillatory_spec(omega, [1], 0.1, 1.0)
 
 
