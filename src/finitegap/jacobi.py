@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import json
 import math
+import threading
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .bandset import FiniteGapSet, dist_to_set, make_band_set
 from .errors import AccuracyError, DomainError, MeasureError
-from .quadrature import (adaptive_cos_coeffs, cosine_nodes, eval_cos_series,
-                         inv_joukowski)
+from .quadrature import (adaptive_cos_coeffs, cos_series_resolved, cosine_nodes,
+                         eval_cos_series, inv_joukowski)
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +62,12 @@ class PeriodicTail:
 class ExtendTail:
     """Tail backed by a provider materializing absolute coefficients 1..N.
 
-    Used for torus points (provider continues the stripping recursion),
-    stripped measures (re-strips at larger N) and perturbed operators
-    (applies the perturbation to the base).  Not JSON serializable.
+    Used for torus points (provider continues the exact stripping
+    recursion), stripped measures (re-strips at larger N by Stieltjes plus
+    RKPW, one exact-sized grid when the band series resolved) and perturbed
+    operators (applies the perturbation to the base).  Providers shared
+    between threads must publish each (a, b) pair atomically.  Not JSON
+    serializable.
     """
 
     def __init__(self, provider, head_len: int):
@@ -346,7 +350,8 @@ class SpectralMeasure:
         return float(h[0] / (rad * st))
 
     def discretize(self, nodes_per_band: int):
-        """Midpoint-in-theta nodes/weights plus exact point masses."""
+        """Midpoint-in-theta nodes/weights per band, then the exact point
+        masses as the last entries."""
         theta = cosine_nodes(nodes_per_band)
         xs, ws = [], []
         for j in range(self.set.n_bands):
@@ -482,66 +487,124 @@ def g00_shifted(z: complex, b0: float, a0: float, m_plus: complex,
 
 
 # ---------------------------------------------------------------------------
-# coefficient stripping (discretized Stieltjes / Lanczos)
+# coefficient stripping (discretized Stieltjes plus one RKPW update per atom)
 
 
-def _lanczos_coeffs(nodes: np.ndarray, weights: np.ndarray, N: int):
+def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
     """First N recursion coefficients of the discrete measure sum w_i delta_{x_i}.
 
-    Lanczos with full reorthogonalization; stable for N well below the node
-    count.  Returns (a_1..a_N, b_1..b_N) for the normalized measure.
+    Normalized discretized Stieltjes: the three-term recursion run on the
+    node vectors of p_0, p_1, ..., no reorthogonalization, O(N M).  Returns
+    (a_1..a_N, b_1..b_N) for the normalized measure.
     """
     w = weights / weights.sum()
     M = len(nodes)
     if N + 1 > M:
         raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
-    Q = np.empty((N + 1, M))
-    q = np.ones(M)
-    q /= np.sqrt(w @ (q * q))
-    Q[0] = q
     a = np.zeros(N)
     b = np.zeros(N)
+    p_prev = np.zeros(M)
+    p = np.ones(M)
     for k in range(N):
-        v = nodes * Q[k]
-        b[k] = w @ (v * Q[k])
-        v = v - b[k] * Q[k]
-        if k > 0:
-            v = v - a[k - 1] * Q[k - 1]
-        # full reorthogonalization in the weighted inner product
-        ov = Q[:k + 1] @ (w * v)
-        v = v - Q[:k + 1].T @ ov
-        nrm2 = w @ (v * v)
-        if nrm2 <= 0:
-            raise AccuracyError(f"Lanczos broke down at step {k + 1}: "
+        xp = nodes * p
+        b[k] = (w * p) @ xp
+        v = xp - b[k] * p - (a[k - 1] * p_prev if k else 0.0)
+        nrm2 = (w * v) @ v
+        if not nrm2 > 0:
+            raise AccuracyError(f"Stieltjes broke down at step {k + 1}: "
                                 "discretization too coarse")
         a[k] = math.sqrt(nrm2)
-        Q[k + 1] = v / a[k]
+        p_prev, p = p, v / a[k]
     return a, b
 
 
+def _rkpw(b, beta, x: float, w: float):
+    """Add the node x with weight w to a discrete measure of n nodes.
+
+    The measure is given by its Jacobi matrix: diagonal b_1..b_n and
+    beta = (total mass, a_1^2, ..., a_{n-1}^2).  Returns the same lists for
+    the n + 1 nodes; one O(n) sweep of plane rotations (Gragg & Harrod,
+    Numer. Math. 44 (1984) 317-335, as in Gautschi's RKPW).
+    """
+    b = [float(v) for v in b] + [0.0]
+    beta = [float(v) for v in beta] + [0.0]
+    pn, gam, sig, t = w, 1.0, 0.0, 0.0
+    for k in range(len(b)):
+        rho = beta[k] + pn
+        tmp = gam * rho
+        tsig = sig
+        if rho <= 0:
+            gam, sig = 1.0, 0.0
+        else:
+            gam, sig = beta[k] / rho, pn / rho
+        tk = sig * (b[k] - x) - gam * t
+        b[k] -= tk - t
+        t = tk
+        pn = tsig * beta[k] if sig <= 0 else t * t / sig
+        beta[k] = tmp
+    return b, beta
+
+
+def _stieltjes_rkpw(nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int):
+    """First N recursion coefficients of a discretized measure whose last
+    n_atoms entries are point masses.
+
+    Stieltjes on the other (band) nodes gives the Jacobi matrix of order
+    N + 1, i.e. the (N + 1)-point Gauss rule of the band part; each atom is
+    then added to that rule by one RKPW update.  The Gauss rule matches the
+    band moments through degree 2N + 1, so a_1..a_N, b_1..b_N are those of
+    the discretized measure.  Plain Stieltjes on all nodes breaks down once
+    an atom sits off the bands.
+    """
+    m = len(nodes) - n_atoms
+    a, b = _stieltjes(nodes[:m], weights[:m], N + 1)
+    if not n_atoms:
+        return a[:N], b[:N]
+    beta = [weights[:m].sum()] + (a[:N] ** 2).tolist()
+    for x, w in zip(nodes[m:], weights[m:]):
+        b, beta = _rkpw(b, beta, x, w)
+    return np.sqrt(beta[1:N + 1]), np.array(b[:N])
+
+
 class _StripProvider:
-    """Caching re-strip provider backing the tail of stripped parameters."""
+    """Caching re-strip provider backing the tail of stripped parameters.
+
+    The coefficient pair is published as one tuple under a lock, so threads
+    sharing a tail never pair a new a with an old, shorter b, and only one of
+    them re-strips.
+    """
 
     def __init__(self, mu, tol):
         self.mu = mu
         self.tol = tol
-        self.a = np.empty(0)
-        self.b = np.empty(0)
+        self._ab = (np.empty(0), np.empty(0))
+        self._lock = threading.Lock()
 
     def __call__(self, n: int):
-        if n > len(self.a):
-            target = max(n, 2 * len(self.a))
-            self.a, self.b = _strip_arrays(self.mu, target, self.tol)
-        return self.a[:n], self.b[:n]
+        with self._lock:
+            a, b = self._ab
+            if n > len(a):
+                a, b = _strip_arrays(self.mu, max(n, 2 * len(a)), self.tol)
+                self._ab = (a, b)
+        return a[:n], b[:n]
 
 
 def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> JacobiParams:
     """First N recursion coefficients of mu via discretized orthogonalization.
 
-    The measure is discretized to per-band theta grids plus exact point
-    masses; the grid, from max(256, 2N + 64) up to 2^17 nodes per band, is
-    doubled until a_n, b_n (n <= N) change by less than tol; no moment
-    matrices.  The cached tail re-strips at larger N, never extrapolates.
+    The measure is discretized to per-band midpoint theta grids plus exact
+    point masses (SpectralMeasure.discretize); discretized Stieltjes on the
+    band nodes gives N + 1 coefficients, and each point mass is folded in
+    by one RKPW update; no moment matrices, no reorthogonalization.
+
+    When every band's cosine series resolved (quadrature.cos_series_resolved),
+    one grid of n = N + 1 + max(len(band_coeffs)) + 8 nodes per band is
+    exact: the midpoint rule in theta integrates cosine polynomials of degree
+    < 2n exactly, so all inner products the first N + 1 coefficients need are
+    exact for the stored density; tol is not read.  Otherwise the grid, from
+    max(256, 2N + 64) up to 2^17 nodes per band, is doubled until a_n, b_n
+    (n <= N) change by less than tol.  The cached tail re-strips at larger
+    N, never extrapolates.
     """
     provider = _StripProvider(mu, tol)
     a, b = provider(N)
@@ -549,11 +612,16 @@ def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> Jacob
 
 
 def _strip_arrays(mu: SpectralMeasure, N: int, tol: float):
+    n_atoms = len(mu.point_masses)
+    if all(cos_series_resolved(c) for c in mu.band_coeffs):
+        n = N + 1 + max(len(c) for c in mu.band_coeffs) + 8
+        x, w = mu.discretize(n)
+        return _stieltjes_rkpw(x, w, n_atoms, N)
     n = max(256, 2 * N + 64)
     prev = None
     while n <= 1 << 17:
         x, w = mu.discretize(n)
-        a, b = _lanczos_coeffs(x, w, N)
+        a, b = _stieltjes_rkpw(x, w, n_atoms, N)
         state = np.concatenate([a, b])
         if prev is not None and np.abs(state - prev).max() < tol:
             return a, b

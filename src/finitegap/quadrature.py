@@ -36,12 +36,19 @@ def eval_cos_series(c: np.ndarray, theta) -> np.ndarray:
     return np.cos(theta[:, None] * k[None, :]) @ c
 
 
-def adaptive_cos_coeffs(fn, n0: int = 256, n_max: int = 4096,
-                        rel_tol: float = 1e-13, strict: bool = True) -> np.ndarray:
+# Starting grid and tail tolerance of adaptive_cos_coeffs; cos_series_resolved
+# reads the same values, so the two judge a series alike.
+_N0 = 256
+_REL_TOL = 1e-13
+
+
+def adaptive_cos_coeffs(fn, n0: int = _N0, n_max: int = 4096,
+                        rel_tol: float = _REL_TOL, strict: bool = True) -> np.ndarray:
     """Sample fn(theta) on doubling grids until the coefficient tail is negligible.
 
     The tail criterion is the chebfun one: the top quarter of coefficients must
-    fall below rel_tol times the largest coefficient.
+    fall below rel_tol times the largest coefficient.  A series still
+    unresolved at n_max (strict=False) is returned untrimmed.
     """
     n = n0
     while True:
@@ -49,7 +56,7 @@ def adaptive_cos_coeffs(fn, n0: int = 256, n_max: int = 4096,
         scale = np.abs(c).max()
         if scale == 0.0:
             return c[:1]
-        tail = np.abs(c[(3 * n) // 4:]).max()
+        tail = _top_quarter(c, n)
         if tail <= rel_tol * scale:
             return _trim(c, rel_tol)
         if n >= n_max:
@@ -59,6 +66,26 @@ def adaptive_cos_coeffs(fn, n0: int = 256, n_max: int = 4096,
                     f"by n={n_max} (tail {tail / scale:.2e})")
             return c
         n *= 2
+
+
+def cos_series_resolved(c: np.ndarray) -> bool:
+    """Whether adaptive_cos_coeffs's tail criterion (default n0 and rel_tol)
+    holds for the series c.
+
+    c is read as sampled on the smallest of that function's grids
+    (_N0 * 2^k) that holds it.  A series returned unresolved fills its grid
+    untrimmed and fails by construction; a trimmed series passes unless it
+    needed a finer grid than the smallest one that holds it.
+    """
+    n = _N0
+    while n < len(c):
+        n *= 2
+    return _top_quarter(c, n) <= _REL_TOL * np.abs(c).max()
+
+
+def _top_quarter(c: np.ndarray, n: int) -> float:
+    """Largest magnitude among the top quarter of n coefficients (c zero-padded)."""
+    return np.abs(c[(3 * n) // 4:]).max(initial=0.0)
 
 
 def _trim(c: np.ndarray, rel_tol: float) -> np.ndarray:

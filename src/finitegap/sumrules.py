@@ -614,11 +614,9 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
                                      "c": "c_bounded"}[implied]
 
     if a_holds and sz > -np.inf and c_holds:
-        devs = []
-        for N in (n_strip // 2, n_strip):
-            devs.append(_torus_grid_deviation(e, J, N, torus_grid))
-        rep.add("torus_deviation", devs, N_values=[n_strip // 2, n_strip],
-                grid_per_gap=torus_grid)
+        Ns = [n_strip // 2, n_strip]
+        devs = _torus_grid_deviation(e, J, Ns, torus_grid)
+        rep.add("torus_deviation", devs, N_values=Ns, grid_per_gap=torus_grid)
         # a 1e-10 floor keeps the verdict meaningful once both deviations sit
         # at stripping noise
         rep.verdicts["approach_to_torus"] = bool(
@@ -626,18 +624,25 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
     return rep
 
 
-def _torus_grid_deviation(e: FiniteGapSet, J: JacobiParams, N: int,
-                          grid_per_gap: int) -> float:
-    """min over a coarse torus grid of sup_{n in [N/2, N]} coefficient deviation."""
-    aJ, bJ = J.coeffs(N)
-    lo = N // 2
+def _torus_grid_deviation(e: FiniteGapSet, J: JacobiParams, Ns,
+                          grid_per_gap: int) -> list:
+    """For each N in Ns, the min over a coarse torus grid of
+    sup_{n in [N/2, N]} coefficient deviation.
+
+    Each grid point is built once, at max(Ns); its stripping recursion is
+    the same for every N, so each window reads the values a point built at
+    that N would have.
+    """
+    n_max = max(Ns)
+    aJ, bJ = J.coeffs(n_max)
     if e.ell == 0:
-        return float(np.max(np.abs(aJ[lo:] - 1.0) + np.abs(bJ[lo:])))
-    best = math.inf
+        return [float(np.max(np.abs(aJ[N // 2:N] - 1.0) + np.abs(bJ[N // 2:N])))
+                for N in Ns]
+    best = [math.inf] * len(Ns)
     angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
     for phis in itertools.product(angles, repeat=e.ell):
-        tp = torus_jacobi(e, dirichlet_from_angles(e, phis), N)
-        at, bt = tp.params.coeffs(N)
-        dev = float(np.max(np.abs(aJ[lo:] - at[lo:]) + np.abs(bJ[lo:] - bt[lo:])))
-        best = min(best, dev)
+        tp = torus_jacobi(e, dirichlet_from_angles(e, phis), n_max)
+        at, bt = tp.params.coeffs(n_max)
+        dev = np.abs(aJ - at) + np.abs(bJ - bt)
+        best = [min(m, float(np.max(dev[N // 2:N]))) for m, N in zip(best, Ns)]
     return best

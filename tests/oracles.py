@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own computational routes: the energy
 oracle minimizes the discretized logarithmic energy directly by projected
-gradient descent, and the closed forms below come from classical formulas
-(Joukowski map, symmetric two-band substitution u = x^2).
+gradient descent, the closed forms below come from classical formulas
+(Joukowski map, symmetric two-band substitution u = x^2), and recursion
+coefficients of measures come from Lanczos with full reorthogonalization
+(the library strips by Stieltjes plus RKPW updates).
 """
 import numpy as np
 
@@ -147,9 +149,59 @@ def continued_fraction_m(a, b, z):
     return t
 
 
-def torus_lanczos(mh, N):
-    """First N coefficients of a minimal Herglotz function by quadrature of its
-    spectral measure and Lanczos stripping (a route that shares no code with
-    the exact stripping recursion)."""
+def lanczos_coeffs(nodes, weights, N):
+    """First N recursion coefficients of the discrete measure sum w_i delta_{x_i}.
+
+    Lanczos with full reorthogonalization in the weighted inner product;
+    stable for N well below the node count.  Returns (a_1..a_N, b_1..b_N)
+    for the normalized measure.
+    """
+    w = weights / weights.sum()
+    M = len(nodes)
+    if N + 1 > M:
+        raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
+    Q = np.empty((N + 1, M))
+    Q[0] = 1.0 / np.sqrt(w.sum())
+    a = np.zeros(N)
+    b = np.zeros(N)
+    for k in range(N):
+        v = nodes * Q[k]
+        b[k] = w @ (v * Q[k])
+        v = v - b[k] * Q[k]
+        if k > 0:
+            v = v - a[k - 1] * Q[k - 1]
+        ov = Q[:k + 1] @ (w * v)
+        v = v - Q[:k + 1].T @ ov
+        nrm2 = w @ (v * v)
+        if nrm2 <= 0:
+            raise ValueError(f"Lanczos broke down at step {k + 1}")
+        a[k] = np.sqrt(nrm2)
+        Q[k + 1] = v / a[k]
+    return a, b
+
+
+def lanczos_measure(mu, N, nodes_per_band=None):
+    """Lanczos on mu.discretize at 2N + 64 nodes per band (or the given count)."""
+    x, w = mu.discretize(nodes_per_band or 2 * N + 64)
+    return lanczos_coeffs(x, w, N)
+
+
+def torus_lanczos(mh, N, tol=1e-12):
+    """First N coefficients of a minimal Herglotz function by Lanczos on
+    discretizations of its spectral measure, the grid doubled from 2N + 64
+    nodes per band until the coefficients change by less than tol (a route
+    that shares no code with either stripping recursion of the library).
+    Raises RuntimeError if they have not settled by 2^17 nodes per band."""
     import finitegap as fg
-    return fg.strip_coefficients(fg.torus_measure(mh), N, tol=1e-12)
+    mu = fg.torus_measure(mh)
+    n = 2 * N + 64
+    prev = np.concatenate(lanczos_measure(mu, N, n))
+    while 2 * n <= 1 << 17:
+        n *= 2
+        a, b = lanczos_measure(mu, N, n)
+        cur = np.concatenate([a, b])
+        if np.abs(cur - prev).max() < tol:
+            return a, b
+        prev = cur
+    raise RuntimeError(f"torus Lanczos did not settle to {tol:g} "
+                       f"by {n} nodes per band")

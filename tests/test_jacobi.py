@@ -1,4 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import finitegap as fg
 from finitegap.errors import AccuracyError, MeasureError
-from finitegap.jacobi import PeriodicTail, _lanczos_coeffs
+from finitegap.jacobi import PeriodicTail, _rkpw, _stieltjes_rkpw
+from finitegap.quadrature import cos_series_resolved
 
 import oracles
 
@@ -256,7 +259,7 @@ def test_strip_symmetric_measure_b_zero():
 
 def test_strip_round_trip_from_eigendata():
     # brute-force oracle: eigen-decompose a small truncation, rebuild the
-    # coefficients from its spectral measure by the same Lanczos engine
+    # coefficients from its spectral measure by the Lanczos oracle
     rng = np.random.default_rng(42)
     N = 20
     a = 1.0 + 0.3 * rng.uniform(-1, 1, N)
@@ -264,9 +267,27 @@ def test_strip_round_trip_from_eigendata():
     T = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
     lam, V = np.linalg.eigh(T)
     weights = V[0] ** 2
-    a2, b2 = _lanczos_coeffs(lam, weights, N - 1)
+    a2, b2 = oracles.lanczos_coeffs(lam, weights, N - 1)
     assert np.abs(a2[:N - 2] - a[:N - 2]).max() < 1e-6
     assert np.abs(b2[:N - 1] - b[:N - 1]).max() < 1e-6
+
+
+def test_strip_round_trip_by_rkpw_alone():
+    # the production RKPW update builds the Jacobi matrix of the eigen-data
+    # one node at a time, starting from the first node alone
+    rng = np.random.default_rng(7)
+    N = 20
+    a = 1.0 + 0.3 * rng.uniform(-1, 1, N)
+    b = 0.4 * rng.uniform(-1, 1, N)
+    T = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+    lam, V = np.linalg.eigh(T)
+    weights = V[0] ** 2
+    b2, beta = [lam[0]], [weights[0]]
+    for x, w in zip(lam[1:], weights[1:]):
+        b2, beta = _rkpw(b2, beta, x, w)
+    assert beta[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(np.sqrt(beta[1:]) - a[:N - 1]).max() < 1e-12
+    assert np.abs(np.array(b2) - b).max() < 1e-12
 
 
 def test_strip_tail_extends():
@@ -292,6 +313,145 @@ def test_strip_measure_with_atom():
     evs = fg.truncation_eigenvalues_outside(J, E2, 500)
     assert len(evs) == 1
     assert evs[0] == pytest.approx(3.0, abs=1e-6)
+
+
+def _assert_matches_lanczos(mu, N, tol=1e-12):
+    a, b = fg.strip_coefficients(mu, N).coeffs(N)
+    ar, br = oracles.lanczos_measure(mu, N)
+    err = max(np.abs(a - ar).max(), np.abs(b - br).max())
+    assert err <= tol, err
+
+
+def _dead_band_measure():
+    def theta_fn(j, th):
+        x = 2 * np.cos(th)
+        return np.where((x > 0.2) & (x < 0.8), 0.0, 2 * np.sin(th) ** 2 / np.pi)
+
+    return fg.measure_from_theta_density(E2, theta_fn, strict=False, validate=False)
+
+
+def _spread_series_measure(L=121):
+    # a density that is exactly a cosine series of length L whose
+    # coefficients do not decay, plus one atom
+    c = np.full(L, 0.5 / (L - 1))
+    c[0] = 1.0
+    c *= 0.9 / (np.pi * c[0])
+    return fg.SpectralMeasure(E2, [c], [(2.5, 0.1)])
+
+
+def test_strip_arcsine_atom_matches_lanczos():
+    mu = fg.measure_from_theta_density(
+        E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
+    _assert_matches_lanczos(mu, 1000)
+
+
+def test_strip_atoms_around_hull_and_in_gap_match_lanczos(eq_twoband):
+    eq = eq_twoband
+    mu = fg.measure_from_theta_density(
+        eq.set, lambda j, th: 0.7 * eq.theta_density(j, th),
+        [(-2.6, 0.1), (0.3, 0.05), (-0.5, 0.05), (3.1, 0.1)])
+    _assert_matches_lanczos(mu, 300)
+
+
+@pytest.mark.parametrize("bands, points", [
+    ([-2, -1, -0.3, 0.4, 1.1, 2], [[(-0.6, 1), (0.8, -1)], [(-0.6, 1), (0.8, 1)]]),
+    ([-2.5, -1.5, -1, -0.2, 0.3, 1, 1.4, 2.2],
+     [[(-1.2, 1), (0.0, -1), (1.2, 1)], [(-1.2, 1), (0.0, 1), (1.2, -1)]]),
+])
+def test_strip_torus_measures_with_gap_atoms_match_lanczos(bands, points):
+    e = fg.make_band_set(bands)
+    for pts in points:
+        mu = fg.torus_measure(fg.minimal_herglotz(e, fg.dirichlet_data(e, pts)))
+        assert len(mu.point_masses) == sum(s > 0 for _, s in pts)
+        _assert_matches_lanczos(mu, 400)
+
+
+def test_strip_deserialized_measure_matches_lanczos(eq_twoband):
+    eq = eq_twoband
+    src = fg.measure_from_theta_density(
+        eq.set, lambda j, th: 0.9 * eq.theta_density(j, th), [(0.2, 0.1)])
+    mu = fg.SpectralMeasure.from_json(src.to_json())
+    assert mu._theta_fn is None
+    _assert_matches_lanczos(mu, 300)
+    _assert_matches_lanczos(_spread_series_measure(), 300)
+
+
+def test_strip_dead_band_matches_lanczos_on_same_nodes():
+    # an unresolved series keeps the doubling verification, on the node
+    # sequence max(256, 2N + 64) * 2^k
+    mu = _dead_band_measure()
+    assert not cos_series_resolved(mu.band_coeffs[0])
+    for N, tol in ((96, 2e-3), (64, 1e-4)):
+        n = max(256, 2 * N + 64)
+        prev = None
+        while True:
+            cur = np.concatenate(oracles.lanczos_measure(mu, N, n))
+            if prev is not None and np.abs(cur - prev).max() < tol:
+                break
+            prev = cur
+            n *= 2
+        a, b = fg.strip_coefficients(mu, N, tol=tol).coeffs(N)
+        assert np.abs(np.concatenate([a, b]) - cur).max() <= 1e-12
+
+
+def test_strip_exact_grid_is_sufficient(eq_twoband):
+    # the size rule n = N + 1 + L + 8 against a grid twice as fine; a grid
+    # below N + 1 + L/2 is not exact for a series that does not decay
+    e = fg.make_band_set([-2, -1, -0.3, 0.4, 1.1, 2])
+    measures = [
+        fg.torus_measure(fg.minimal_herglotz(
+            e, fg.dirichlet_data(e, [(-0.6, 1), (0.8, 1)]))),
+        fg.measure_from_theta_density(
+            E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)]),
+        fg.equilibrium_measure(eq_twoband),
+        _spread_series_measure(),
+    ]
+    N = 150
+    for mu in measures:
+        L = max(len(c) for c in mu.band_coeffs)
+        assert all(cos_series_resolved(c) for c in mu.band_coeffs)
+
+        def strip(n):
+            x, w = mu.discretize(n)
+            return np.concatenate(_stieltjes_rkpw(x, w, len(mu.point_masses), N))
+
+        n = N + 1 + L + 8
+        assert np.array_equal(strip(n), np.concatenate(fg.strip_coefficients(mu, N).coeffs(N)))
+        assert np.abs(strip(n) - strip(2 * n)).max() <= 1e-13
+    # the last measure's series has L = 121 terms
+    assert np.abs(strip(N + 1 + L // 2 - 1) - strip(2 * n)).max() > 1e-6
+
+
+def test_strip_provider_shared_between_threads(monkeypatch):
+    # one stripped tail extended from many threads: a single re-strip, and
+    # every (a, b) pair equal to a sequential run bit for bit
+    from finitegap import jacobi
+    mu = fg.measure_from_theta_density(
+        E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
+    N0 = 100
+    ref_a, ref_b = fg.strip_coefficients(mu, N0).coeffs(2 * N0)
+    sizes = range(N0 + 2, 2 * N0 + 1, 2)
+    calls = []
+    strip = jacobi._strip_arrays
+
+    def counted(*args):
+        calls.append(args[1])
+        return strip(*args)
+
+    monkeypatch.setattr(jacobi, "_strip_arrays", counted)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            J = fg.strip_coefficients(mu, N0)
+            with ThreadPoolExecutor(8) as pool:
+                outs = list(pool.map(J.coeffs, sizes, timeout=120))
+            assert calls == [N0, 2 * N0]
+            for n, (a, b) in zip(sizes, outs):
+                assert np.array_equal(a, ref_a[:n]) and np.array_equal(b, ref_b[:n])
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------
