@@ -10,6 +10,13 @@ int_gap_j Q(t)/sqrt(R(t)) dt = 0.  The zeros are obtained from a single dense
 l x l solve; everything downstream (potential, Green's function, capacity,
 harmonic measures) is evaluated spectrally from per-band cosine expansions.
 
+Gap rule: with t = mid + rad cos(theta) on gap j the condition becomes
+int_0^pi Q(t) w_j(theta) dtheta = 0, where w_j = 1/sqrt(|R|/((t-b_j)(a_{j+1}-t)))
+is smooth in theta.  Once w_j is resolved to n_w cosine coefficients, each
+integrand tau^k w_j (k <= l) is a cosine polynomial of degree < n_w + l, and
+the midpoint rule on n_w + l + 8 theta nodes, exact for cosine polynomials of
+degree < twice its size, integrates it exactly: no grid doubling is needed.
+
 Branch convention for sqrt(R): the single-valued branch on C \\ e that is real
 and positive on (b_{l+1}, inf).  Continuity then forces the boundary value
 from above on the j-th band interior to be i*(-1)^(l+1-j)*sqrt(|R|), and the
@@ -26,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, DomainError, FiniteGapError
-from .quadrature import cos_coeffs, cosine_nodes, inv_joukowski
+from .quadrature import adaptive_cos_coeffs, cosine_nodes, inv_joukowski
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,8 @@ class EquilibriumData:
 
     band_coeffs[j] are the cosine coefficients of the theta-density
     h_j(theta) = w(mid_j + rad_j cos theta) * rad_j * sin(theta), so the mass
-    of band j is pi*band_coeffs[j][0].
+    of band j is pi*band_coeffs[j][0].  node_counts is the size of the largest
+    gap rule of the solve (0 for a single band).
     """
 
     set: FiniteGapSet
@@ -202,8 +210,7 @@ class EquilibriumData:
 
     def theta_density(self, j: int, theta) -> np.ndarray:
         """h_j(theta) = |Q| / (pi sqrt(|P_j|)); smooth in cos(theta)."""
-        t = self.set.midpoints[j] + self.set.radii[j] * np.cos(np.asarray(theta, float))
-        return _eq_theta_density(self.set, self.gap_zeros, j, t)
+        return _eq_theta_density(self.set, self.gap_zeros, j, theta)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -215,31 +222,30 @@ class EquilibriumData:
         })
 
 
-def _gap_condition_solve(e: FiniteGapSet, n: int):
-    """Solve the l gap conditions for Q's zeros on an n-point theta grid.
-
-    Works in the hull-scaled variable tau for conditioning; returns the gap
-    zeros in the original variable.
+def _gap_condition_solve(e: FiniteGapSet, n_max: int):
+    """Q's zeros from the l gap conditions on the exact gap rules (see the
+    module docstring), and the largest rule size.  Works in the hull-scaled
+    variable tau for conditioning; returns the zeros in the original variable.
     """
     ell = e.ell
-    if ell == 0:
-        return np.empty(0)
     lo, hi = e.hull
     c0, s0 = (lo + hi) / 2, (hi - lo) / 2
-    theta = cosine_nodes(n)
-    ct = np.cos(theta)
-    M = np.empty((ell, ell))
-    rhs = np.empty(ell)
+    sums = np.empty((ell, ell + 1))
+    n_rule = 0
     for j in range(ell):
         beta, alpha = e.gap(j)
-        t = (beta + alpha) / 2 + (alpha - beta) / 2 * ct
-        w = 1.0 / np.sqrt(np.abs(e.gap_rest_product(j, t)))
-        tau = (t - c0) / s0
-        for k in range(ell):
-            M[j, k] = np.sum(tau**k * w)
-        rhs[j] = -np.sum(tau**ell * w)
+        mid, rad = (beta + alpha) / 2, (alpha - beta) / 2
+
+        def weight(theta):
+            return 1.0 / np.sqrt(np.abs(e.gap_rest_product(j, mid + rad * np.cos(theta))))
+
+        n = len(adaptive_cos_coeffs(weight, n_max=n_max)) + ell + 8
+        theta = cosine_nodes(n)
+        tau = (mid + rad * np.cos(theta) - c0) / s0
+        sums[j] = weight(theta) @ tau[:, None] ** np.arange(ell + 1) / n
+        n_rule = max(n_rule, n)
     try:
-        coef = np.linalg.solve(M, rhs)
+        coef = np.linalg.solve(sums[:, :ell], -sums[:, ell])
     except np.linalg.LinAlgError as exc:  # cannot occur for valid sets
         raise AccuracyError(f"gap-condition system singular: {exc}") from exc
     roots = np.roots(np.concatenate([[1.0], coef[::-1]]))
@@ -251,57 +257,43 @@ def _gap_condition_solve(e: FiniteGapSet, n: int):
         if not beta < z < alpha:
             raise AccuracyError(
                 f"gap zero {z} fell outside gap {j} = ({beta}, {alpha})")
-    return zeros
+    return zeros, n_rule
 
 
-def solve_equilibrium(e: FiniteGapSet, n0: int = 256, tol: float = 1e-10,
-                      n_max: int = 16384) -> EquilibriumData:
+def solve_equilibrium(e: FiniteGapSet) -> EquilibriumData:
     """Equilibrium measure, Robin constant, capacity and harmonic measures.
 
-    The theta grid is doubled until gap zeros and band masses move by less
-    than tol.  Postconditions asserted here: total mass within 1e-8 of 1 and
+    One solve, no grid doubling: each gap weight is resolved once to a cosine
+    series of L terms, and the gap conditions are summed on L + l + 8
+    midpoint nodes, which integrate those cosine polynomials exactly;
+    node_counts is the largest such rule (0 for a single band).  Band
+    theta-densities are resolved by adaptive_cos_coeffs.  Every series is
+    capped at 16384 nodes; an unresolved one raises AccuracyError.
+    Postconditions asserted here: total mass within 1e-8 of 1 and
     Robin-constant spread over band midpoints below 1e-8.
     """
-    n = n0
-    prev = None
-    while True:
-        zeros = _gap_condition_solve(e, n)
-        masses = np.empty(e.n_bands)
-        theta = cosine_nodes(n)
-        for j in range(e.n_bands):
-            t = e.midpoints[j] + e.radii[j] * np.cos(theta)
-            h = _eq_theta_density(e, zeros, j, t)
-            masses[j] = np.pi * h.mean()
-        state = np.concatenate([zeros, masses])
-        if prev is not None and len(prev) == len(state) \
-                and np.abs(state - prev).max() < tol:
-            break
-        if n >= n_max:
-            raise AccuracyError(f"equilibrium solve did not converge by n={n_max}")
-        prev = state
-        n *= 2
-
-    coeffs = []
-    for j in range(e.n_bands):
-        t = e.midpoints[j] + e.radii[j] * np.cos(cosine_nodes(n))
-        coeffs.append(cos_coeffs(_eq_theta_density(e, zeros, j, t)))
+    n_max = 16384
+    zeros, n_rule = _gap_condition_solve(e, n_max)
+    coeffs = tuple(adaptive_cos_coeffs(lambda th, j=j: _eq_theta_density(e, zeros, j, th),
+                                       n_max=n_max) for j in range(e.n_bands))
     omega = np.array([np.pi * c[0] for c in coeffs])
     total = omega.sum()
     if abs(total - 1.0) > 1e-8:
         raise AccuracyError(f"equilibrium mass {total} deviates from 1")
 
-    data = EquilibriumData(e, zeros, 0.0, 1.0, omega, tuple(coeffs), n)
+    data = EquilibriumData(e, zeros, 0.0, 1.0, omega, coeffs, n_rule)
     phis = np.array([potential(data, complex(m)) for m in e.midpoints])
     if phis.max() - phis.min() > 1e-8:
         raise AccuracyError(
             f"Robin constant spread {phis.max() - phis.min():.2e} over band midpoints")
     robin = float(phis.mean())
     return EquilibriumData(e, zeros, robin, float(np.exp(-robin)), omega,
-                           tuple(coeffs), n)
+                           coeffs, n_rule)
 
 
-def _eq_theta_density(e: FiniteGapSet, zeros: np.ndarray, j: int, t: np.ndarray):
-    """|Q(t)| / (pi sqrt(|P_j(t)|)) with Q the monic polynomial with these zeros."""
+def _eq_theta_density(e: FiniteGapSet, zeros: np.ndarray, j: int, theta):
+    """|Q| / (pi sqrt(|P_j|)) at t = mid_j + rad_j cos(theta), Q monic with these zeros."""
+    t = e.midpoints[j] + e.radii[j] * np.cos(np.asarray(theta, float))
     return np.abs(root_product(t, zeros)) / (np.pi * np.sqrt(np.abs(e.rest_product(j, t))))
 
 

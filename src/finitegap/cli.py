@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eqm, torus, oprl, perturb, sumrule, distance, report.
-Global flags: --config PATH, --out DIR, --seed U64, --tol FLOAT (eqm), --quiet.
+Global flags: --config PATH, --out DIR, --seed U64, --quiet.
 Exit codes: 0 success, 1 hard invariant violation, 2 bad input, 3 missing
 dependency file.
 
@@ -173,7 +173,7 @@ def cmd_eqm(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "grid_points"}, "eqm config")
     e = _bands_from_config(config)
     try:
-        eq = solve_equilibrium(e, tol=args.tol or 1e-10)
+        eq = solve_equilibrium(e)
     except AccuracyError as exc:
         raise CliError(1, f"equilibrium solve failed: {exc}") from exc
     period = rational_harmonic_period(eq.harmonic_measures)
@@ -373,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="path to a JSON config")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--quiet", action="store_true")
     return ap
 

@@ -120,14 +120,18 @@ class JacobiParams:
         return a, b
 
     def a(self, n: int) -> float:
-        if n <= self.head_len:
-            return float(self.head_a[n - 1])
-        return float(self.tail.range_coeffs(n - self.head_len - 1, 1)[0][0])
+        return self._pair(n)[0]
 
     def b(self, n: int) -> float:
+        return self._pair(n)[1]
+
+    def _pair(self, n: int):
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if n <= self.head_len:
-            return float(self.head_b[n - 1])
-        return float(self.tail.range_coeffs(n - self.head_len - 1, 1)[1][0])
+            return float(self.head_a[n - 1]), float(self.head_b[n - 1])
+        ta, tb = self.tail.range_coeffs(n - self.head_len - 1, 1)
+        return float(ta[0]), float(tb[0])
 
     def to_json(self) -> str:
         return json.dumps({"head_a": list(self.head_a), "head_b": list(self.head_b),

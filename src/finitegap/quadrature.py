@@ -42,35 +42,34 @@ _N0 = 256
 _REL_TOL = 1e-13
 
 
-def adaptive_cos_coeffs(fn, n0: int = _N0, n_max: int = 4096,
-                        rel_tol: float = _REL_TOL, strict: bool = True) -> np.ndarray:
+def adaptive_cos_coeffs(fn, n_max: int = 4096, strict: bool = True) -> np.ndarray:
     """Sample fn(theta) on doubling grids until the coefficient tail is negligible.
 
-    The tail criterion is the chebfun one: the top quarter of coefficients must
-    fall below rel_tol times the largest coefficient.  A series still
-    unresolved at n_max (strict=False) is returned untrimmed.
+    The tail criterion is the chebfun one: on the grid of n = _N0 * 2^k
+    points, the top quarter of coefficients must fall below _REL_TOL times
+    the largest coefficient.  A series still unresolved at n_max
+    (strict=False) is returned untrimmed.
     """
-    n = n0
+    n = _N0
     while True:
         c = cos_coeffs(fn(cosine_nodes(n)))
         scale = np.abs(c).max()
         if scale == 0.0:
             return c[:1]
         tail = _top_quarter(c, n)
-        if tail <= rel_tol * scale:
-            return _trim(c, rel_tol)
+        if tail <= _REL_TOL * scale:
+            return _trim(c)
         if n >= n_max:
             if strict:
                 raise AccuracyError(
-                    f"cosine coefficients did not decay below {rel_tol:g} "
+                    f"cosine coefficients did not decay below {_REL_TOL:g} "
                     f"by n={n_max} (tail {tail / scale:.2e})")
             return c
         n *= 2
 
 
 def cos_series_resolved(c: np.ndarray) -> bool:
-    """Whether adaptive_cos_coeffs's tail criterion (default n0 and rel_tol)
-    holds for the series c.
+    """Whether adaptive_cos_coeffs's tail criterion holds for the series c.
 
     c is read as sampled on the smallest of that function's grids
     (_N0 * 2^k) that holds it.  A series returned unresolved fills its grid
@@ -88,9 +87,9 @@ def _top_quarter(c: np.ndarray, n: int) -> float:
     return np.abs(c[(3 * n) // 4:]).max(initial=0.0)
 
 
-def _trim(c: np.ndarray, rel_tol: float) -> np.ndarray:
+def _trim(c: np.ndarray) -> np.ndarray:
     scale = np.abs(c).max()
-    keep = np.nonzero(np.abs(c) > 1e-2 * rel_tol * scale)[0]
+    keep = np.nonzero(np.abs(c) > 1e-2 * _REL_TOL * scale)[0]
     return c[: keep[-1] + 1] if len(keep) else c[:1]
 
 

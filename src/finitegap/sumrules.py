@@ -221,16 +221,18 @@ class SumDiagnostics:
 
 def series_diagnostics(partial, K0: int = 256, tol: float = 1e-8,
                        max_doublings: int = 14) -> SumDiagnostics:
-    """Cauchy-under-doubling probe of K -> partial(K)."""
+    """Cauchy-under-doubling probe of K -> partial(K); tail_estimate is the last step."""
     K = K0
     prev = partial(K)
+    delta = math.inf
     for _ in range(max_doublings):
         K *= 2
         cur = partial(K)
-        if abs(cur - prev) < tol:
-            return SumDiagnostics(cur, K, abs(cur - prev), True)
+        delta = abs(cur - prev)
+        if delta < tol:
+            return SumDiagnostics(cur, K, delta, True)
         prev = cur
-    return SumDiagnostics(prev, K, abs(cur - prev), False)
+    return SumDiagnostics(prev, K, delta, False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ oracle minimizes the discretized logarithmic energy directly by projected
 gradient descent, the closed forms below come from classical formulas
 (Joukowski map, symmetric two-band substitution u = x^2), and recursion
 coefficients of measures come from Lanczos with full reorthogonalization
-(the library strips by Stieltjes plus RKPW updates).
+(the library strips by Stieltjes plus RKPW updates), and gap-condition
+integrals come from 30-digit tanh-sinh (the library solves them on a float
+midpoint rule).
 """
 import numpy as np
 
@@ -131,6 +133,34 @@ def root_product_mp(t, roots, dps=50):
                 p *= mpmath.mpf(float(x)) - mpmath.mpf(float(r))
             out.append(float(p))
     return np.array(out)
+
+
+def gap_integral_mp(e, zeros, j, dps=30):
+    """(int_gap Q/sqrt|R|, int_gap |Q|/sqrt|R|) over gap j of e, Q the monic
+    polynomial with these zeros, by dps-digit tanh-sinh quadrature.
+
+    t = mid + rad cos(phi) absorbs the two edge factors of R exactly
+    (dt / sqrt((t - beta)(alpha - t)) = dphi).  The phi interval is cut at
+    the zeros inside the gap, so Q keeps one sign on each piece and the
+    second integral is the sum of the pieces' absolute values.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        pts = [mpmath.mpf(float(x)) for x in e.endpoints]
+        qz = [mpmath.mpf(float(z)) for z in zeros]
+        beta, alpha = pts[2 * j + 1], pts[2 * j + 2]
+        rest = pts[:2 * j + 1] + pts[2 * j + 3:]
+        mid, rad = (beta + alpha) / 2, (alpha - beta) / 2
+
+        def f(phi):
+            t = mid + rad * mpmath.cos(phi)
+            return mpmath.fprod(t - z for z in qz) / mpmath.sqrt(
+                abs(mpmath.fprod(t - x for x in rest)))
+
+        cuts = [mpmath.mpf(0)] + sorted(mpmath.acos((z - mid) / rad)
+                                        for z in qz if beta < z < alpha) + [mpmath.pi]
+        pieces = [mpmath.quad(f, cuts[i:i + 2]) for i in range(len(cuts) - 1)]
+        return float(sum(pieces)), float(sum(abs(p) for p in pieces))
 
 
 def oprl_plain(a, b, n, z):

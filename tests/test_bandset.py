@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import finitegap as fg
 from finitegap.errors import DomainError, FiniteGapError
+from finitegap.quadrature import cos_series_resolved
 
 import oracles
 
@@ -341,3 +342,23 @@ def test_gap_conditions_hold(eq_twoband):
     grid = fg.quadrature_grid(eq_twoband.set, 512)
     val = np.sum(grid.gap_weights[0] * eq_twoband.q_poly(grid.gap_nodes[0]))
     assert abs(val) < 1e-12
+    # against the 30-digit oracle: seeded sets with
+    # l = 1..8, a near-touching pair of bands and a very short band
+    pytest.importorskip("mpmath")
+    from conftest import random_band_set
+    rng = np.random.default_rng(8)
+    sets = [random_band_set(rng, ell) for ell in range(1, 9)]
+    sets += [fg.make_band_set([-2, -1, -0.999, 1, 1.5, 2]),
+             fg.make_band_set([-2, -1, 0.3, 0.3001, 1, 2])]
+    for e in sets:
+        eq = fg.solve_equilibrium(e)
+        for j in range(e.ell):
+            signed, total = oracles.gap_integral_mp(e, eq.gap_zeros, j)
+            assert abs(signed) <= 1e-12 * total, (e.bands, j)
+
+
+def test_band_series_resolved_and_trimmed(eq_single, eq_twoband, period2_set):
+    # band series come trimmed from adaptive_cos_coeffs, not as a full DCT grid
+    for eq in (eq_single, eq_twoband, fg.solve_equilibrium(period2_set)):
+        for c in eq.band_coeffs:
+            assert cos_series_resolved(c) and len(c) < 256

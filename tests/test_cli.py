@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from finitegap import cli
 from finitegap.cli import main
 
 
@@ -179,3 +182,13 @@ def test_version_and_hash_embedded(tmp_path):
     assert len(doc["config_sha256"]) == 64
     first = (tmp_path / "eqm_grid.csv").read_text().splitlines()[0]
     assert doc["config_sha256"] in first
+
+
+def test_documented_global_flags_match_parser():
+    # the "Global flags" lines of the module docstring and the README list
+    # exactly the parser's options, so a removed flag cannot linger in docs
+    flags = set(re.findall(r"--[a-z-]+", cli.build_parser().format_usage()))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for doc in (cli.__doc__, readme):
+        line = next(ln for ln in doc.splitlines() if ln.startswith("Global flags:"))
+        assert set(re.findall(r"--[a-z-]+", line)) == flags

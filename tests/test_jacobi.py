@@ -36,6 +36,17 @@ def test_periodic_tail():
     assert list(b) == [0.5, 0.0, -1.0, 0.0, -1.0, 0.0]
 
 
+def test_index_below_one_rejected():
+    # n <= 0 must not index the head from its end
+    J = fg.JacobiParams(np.array([2.0, 1.5]), np.array([0.5, -0.5]))
+    assert J.a(1) == 2.0 and J.b(2) == -0.5
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            J.a(n)
+        with pytest.raises(ValueError):
+            J.b(n)
+
+
 def test_positive_a_enforced():
     with pytest.raises(ValueError):
         fg.JacobiParams(np.array([0.0]), np.array([0.0]))

@@ -225,6 +225,13 @@ def test_a_product_l1_perturbed_converges(period2_torus):
     assert d.converged and d.value == pytest.approx(direct, abs=1e-4)
 
 
+def test_series_diagnostics_unconverged_tail():
+    # the tail of an unconverged probe is the last doubling step, not 0
+    d = series_diagnostics(lambda K: np.log(K), K0=4, tol=1e-3, max_doublings=5)
+    assert not d.converged and d.n_terms == 128
+    assert d.tail_estimate == pytest.approx(np.log(2.0), rel=1e-12)
+
+
 def test_b_sum_zero():
     assert fg.b_sum(fg.free_jacobi(), fg.free_jacobi(), 100) == 0.0
 
