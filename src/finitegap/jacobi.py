@@ -275,21 +275,33 @@ def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
     Spurious gap eigenvalues of truncations wander as N changes; only
     eigenvalues that move by less than stability_tol between the N/2 and N
     truncations are reported.
+
+    Only the few eigenvalues off e are computed: bisection with Sturm counts
+    (LAPACK stebz) on each component of R \\ e, never the whole spectrum.
+    The N/2 truncation is searched on the same components widened by
+    stability_tol, which holds every eigenvalue within stability_tol of a
+    candidate.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    d, od = truncation_matrix(J, N)
-    ev_full = eigh_tridiagonal(d, od, eigvals_only=True)
-    d2, od2 = truncation_matrix(J, N // 2)
-    ev_half = eigh_tridiagonal(d2, od2, eigvals_only=True)
-    out = [x for x in ev_full if dist_to_set(e, x) > 0]
+    out = [x for x in _eigenvalues_off(J, e, N, 0.0) if dist_to_set(e, x) > 0]
     if not out:
         return np.empty(0)
-    stable = []
-    for x in out:
-        if np.abs(ev_half - x).min() < stability_tol:
-            stable.append(x)
+    ev_half = _eigenvalues_off(J, e, N // 2, stability_tol)
+    stable = [x for x in out if np.abs(ev_half - x).min(initial=np.inf) < stability_tol]
     return np.array(sorted(stable))
+
+
+def _eigenvalues_off(J: JacobiParams, e: FiniteGapSet, N: int, pad: float) -> np.ndarray:
+    """Eigenvalues of the N x N truncation in the components of R \\ e, each
+    widened by pad on both sides: (-inf, a_1 + pad], (b_j - pad, a_{j+1} + pad],
+    (b_{l+1} - pad, inf].  The ends are half-open, as in stebz."""
+    d, od = truncation_matrix(J, N)
+    edges = [-math.inf, *e.endpoints, math.inf]
+    return np.concatenate([
+        eigh_tridiagonal(d, od, eigvals_only=True, select="v",
+                         select_range=(lo - pad, hi + pad))
+        for lo, hi in zip(edges[::2], edges[1::2])])
 
 
 # ---------------------------------------------------------------------------

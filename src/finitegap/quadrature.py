@@ -109,10 +109,15 @@ def inv_joukowski(zeta) -> np.ndarray:
     return 1.0 / (zeta + s)
 
 
-def tanh_sinh_rule(level: int, a: float, b: float):
-    """Tanh-sinh nodes/weights on (a, b); nodes stay strictly interior."""
+def tanh_sinh_rule(level: int, a: float, b: float, odd: bool = False):
+    """Tanh-sinh nodes/weights on (a, b); nodes stay strictly interior.
+
+    Steps t = k h, h = 2^-level, |t| <= 6.  With odd=True only the odd-k
+    nodes: the even ones are exactly the nodes of level - 1.
+    """
     h = 2.0 ** (-level)
-    k = np.arange(-int(np.ceil(6.0 / h)), int(np.ceil(6.0 / h)) + 1)
+    n = int(np.ceil(6.0 / h))
+    k = np.arange(-n + 1, n, 2) if odd else np.arange(-n, n + 1)
     t = k * h
     u = 0.5 * np.pi * np.sinh(t)
     x = np.tanh(u)
@@ -126,21 +131,26 @@ def tanh_sinh_rule(level: int, a: float, b: float):
 def de_quad(fn, a: float, b: float, tol: float = 1e-10, max_level: int = 11):
     """Doubling tanh-sinh quadrature; handles endpoint log/algebraic singularities.
 
+    Levels are nested: the nodes of level L are the even-k nodes of level
+    L + 1, at half the weight, so each level after the first evaluates fn
+    only on its odd-k nodes and adds them to half the previous value.
+
     Returns (value, level). Raises AccuracyError if the doubling never settles.
     Infinite values from fn propagate (used for the -inf Szego sentinel).
     """
-    prev = None
     delta = np.inf
+    val = None
     for level in range(4, max_level + 1):
-        x, w = tanh_sinh_rule(level, a, b)
+        x, w = tanh_sinh_rule(level, a, b, odd=val is not None)
         vals = fn(x)
         if np.any(np.isneginf(vals)):
             return -np.inf, level
-        val = float(np.sum(w * vals))
-        if prev is not None:
-            delta = abs(val - prev)
-            if delta <= tol * max(1.0, abs(val)):
-                return val, level
-        prev = val
+        if val is None:
+            val = float(np.sum(w * vals))
+            continue
+        prev, val = val, val / 2 + float(np.sum(w * vals))
+        delta = abs(val - prev)
+        if delta <= tol * max(1.0, abs(val)):
+            return val, level
     raise AccuracyError(f"tanh-sinh quadrature did not converge (last delta "
                         f"{delta:.2e}, tol {tol:g})")

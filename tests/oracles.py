@@ -5,9 +5,10 @@ oracle minimizes the discretized logarithmic energy directly by projected
 gradient descent, the closed forms below come from classical formulas
 (Joukowski map, symmetric two-band substitution u = x^2), and recursion
 coefficients of measures come from Lanczos with full reorthogonalization
-(the library strips by Stieltjes plus RKPW updates), and gap-condition
+(the library strips by Stieltjes plus RKPW updates), gap-condition
 integrals come from 30-digit tanh-sinh (the library solves them on a float
-midpoint rule).
+midpoint rule), and truncation eigenvalues off e come from the two whole
+tridiagonal spectra (the library bisects only on R \\ e).
 """
 import numpy as np
 
@@ -235,3 +236,39 @@ def torus_lanczos(mh, N, tol=1e-12):
         prev = cur
     raise RuntimeError(f"torus Lanczos did not settle to {tol:g} "
                        f"by {n} nodes per band")
+
+
+def truncation_eigenvalues_outside_dense(J, e, N, stability_tol=1e-6):
+    """Stability-filtered eigenvalues of the N x N truncation off e, from the
+    whole N and N/2 spectra (divide and conquer): the candidates are every
+    eigenvalue at positive distance from e, kept when some N/2 eigenvalue lies
+    within stability_tol."""
+    from scipy.linalg import eigh_tridiagonal
+    import finitegap as fg
+    a, b = J.coeffs(N)
+    ev_full = eigh_tridiagonal(b, a[:N - 1], eigvals_only=True)
+    out = [x for x in ev_full if fg.dist_to_set(e, x) > 0]
+    if not out:
+        return np.empty(0)
+    a2, b2 = J.coeffs(N // 2)
+    ev_half = eigh_tridiagonal(b2, a2[:N // 2 - 1], eigvals_only=True)
+    return np.array(sorted(x for x in out
+                           if np.abs(ev_half - x).min() < stability_tol))
+
+
+def de_quad_unnested(fn, a, b, tol=1e-10, max_level=11):
+    """Doubling tanh-sinh quadrature that evaluates fn on every node of every
+    level (the library reuses each level's nodes in the next).  Same levels,
+    -inf sentinel and (value, level) result as quadrature.de_quad."""
+    from finitegap.quadrature import tanh_sinh_rule
+    prev = None
+    for level in range(4, max_level + 1):
+        x, w = tanh_sinh_rule(level, a, b)
+        vals = fn(x)
+        if np.any(np.isneginf(vals)):
+            return -np.inf, level
+        val = float(np.sum(w * vals))
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val, level
+        prev = val
+    raise RuntimeError("tanh-sinh quadrature did not converge")

@@ -10,6 +10,7 @@ import finitegap as fg
 from finitegap.errors import AccuracyError, MeasureError
 from finitegap.jacobi import PeriodicTail, _rkpw, _stieltjes_rkpw
 from finitegap.quadrature import cos_series_resolved
+from finitegap.sumrules import PerturbationSpec, RandomDecay
 
 import oracles
 
@@ -171,6 +172,95 @@ def test_truncation_monotone_stable():
     evs2 = fg.truncation_eigenvalues_outside(Jp, E2, 2000)
     assert len(evs1) == len(evs2)
     assert np.abs(evs1 - evs2).max() < 1e-6
+
+
+def _assert_matches_dense(J, e, N):
+    """Same stable eigenvalues as the two-spectrum oracle, within 1e-12."""
+    evs = fg.truncation_eigenvalues_outside(J, e, N)
+    ref = oracles.truncation_eigenvalues_outside_dense(J, e, N)
+    assert len(evs) == len(ref), (evs, ref)
+    assert np.all(np.abs(evs - ref) <= 1e-12), (evs, ref)
+    return len(evs)
+
+
+def test_truncation_matches_dense_oracle_criterion7_specs():
+    found = 0
+    for seed in range(100):
+        spec = PerturbationSpec(RandomDecay(seed, 1.5, 0.5),
+                                "both" if seed % 2 else "b")
+        J = fg.apply_perturbation(fg.free_jacobi(), spec, 2000)
+        found += _assert_matches_dense(J, E2, 2000)
+    assert found > 10  # the family does leave the hull
+
+
+@pytest.mark.parametrize("ell, points", [(2, 10), (3, 5)])
+def test_truncation_matches_dense_oracle_perturbed_torus(ell, points):
+    from conftest import random_band_set
+    e = random_band_set(np.random.default_rng(ell), ell)
+    found = 0
+    for seed in range(points):
+        dd = fg.random_dirichlet(e, np.random.default_rng(100 + seed))
+        base = fg.torus_jacobi(e, dd, 1000).params
+        spec = PerturbationSpec(RandomDecay(seed, 1.8, 0.4),
+                                "both" if seed % 2 else "b")
+        found += _assert_matches_dense(base, e, 1000)
+        found += _assert_matches_dense(fg.apply_perturbation(base, spec, 1000),
+                                       e, 1000)
+    assert found > points  # gap eigenvalues of the torus points and their perturbations
+
+
+def test_truncation_matches_dense_oracle_atoms_and_small_N(period2_set):
+    # atoms outside the hull: single site b_1 = +-3
+    for b1 in (3.0, -3.0):
+        J = fg.JacobiParams(np.array([1.0]), np.array([b1]))
+        for N in (2, 3, 1001, 2000):  # N = 2, 3: the half truncation is 1 x 1
+            assert _assert_matches_dense(J, E2, N) == (N > 3)
+    # an atom inside the gap, stripped from a measure built like the
+    # period2_atom benchmark measure
+    eq = fg.solve_equilibrium(period2_set)
+    mu = fg.measure_from_theta_density(
+        period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), [(0.3, 0.1)])
+    J = fg.strip_coefficients(mu, 400)
+    for N in (399, 400):  # even N adds the period-2 tail's own gap eigenvalue
+        assert _assert_matches_dense(J, period2_set, N) == 1 + (N % 2 == 0)
+        evs = fg.truncation_eigenvalues_outside(J, period2_set, N)
+        assert np.abs(evs - 0.3).min() < 1e-10
+
+
+def test_truncation_spectrum_entirely_above_hull():
+    # b = 10, a = 1: every eigenvalue of every truncation lies in (8, 12)
+    J = fg.JacobiParams(np.empty(0), np.empty(0), PeriodicTail([1.0], [10.0]))
+    for N in (2, 3, 64, 301):
+        _assert_matches_dense(J, E2, N)
+
+
+@pytest.mark.parametrize("bands, b1", [([-2.0, 2.0], -2.0),
+                                        ([-2.0, 2.0, 5.0, 6.0], 5.0)])
+def test_truncation_eigenvalue_on_band_edge_not_reported(bands, b1):
+    # a_1 = 1e-300 splits off site 1: a 1 x 1 block with eigenvalue exactly
+    # b_1 = a_{j+1}, the closed end of the half-open search range; the rest
+    # is free, with truncation eigenvalues inside (-2, 2)
+    e = fg.make_band_set(bands)
+    J = fg.JacobiParams(np.array([1e-300]), np.array([b1]))
+    assert b1 in fg.jacobi._eigenvalues_off(J, e, 50, 0.0)
+    assert len(fg.truncation_eigenvalues_outside(J, e, 50)) == 0
+    assert len(oracles.truncation_eigenvalues_outside_dense(J, e, 50)) == 0
+
+
+@pytest.mark.parametrize("offset, accepted", [(4e-7, True), (2e-6, False)])
+def test_truncation_stable_partner_inside_band(offset, accepted):
+    # split-off sites: b_1 = 2 - offset (inside the band) in both truncations,
+    # b_N = 2 + offset (off e) only in the N x N one; the candidate's only
+    # partner in the N/2 spectrum is b_1, 2 * offset away
+    N = 2000
+    a = np.ones(N)
+    a[0] = a[N - 2] = 1e-300
+    b = np.zeros(N)
+    b[0], b[N - 1] = 2 - offset, 2 + offset
+    J = fg.JacobiParams(a, b)
+    evs = fg.truncation_eigenvalues_outside(J, E2, N)
+    assert list(evs) == ([2 + offset] if accepted else [])
+    assert _assert_matches_dense(J, E2, N) == int(accepted)
 
 
 # ---------------------------------------------------------------------------

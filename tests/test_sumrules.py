@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import finitegap as fg
-from finitegap.errors import MeasureError
+from finitegap.errors import AccuracyError, MeasureError
 from finitegap.sumrules import (L1Decay, Oscillatory, PerturbationSpec,
                                 RandomDecay, SingleSite, SlowDecay,
                                 b_sum_diagnostics, lt_finite_gap_constant,
@@ -125,6 +125,21 @@ def test_lt_finite_gap_constant_reportable():
     assert len(rep["samples"]) == 3
 
 
+def test_lt_finite_gap_constant_matches_dense_eigenvalues(monkeypatch):
+    from finitegap import sumrules
+    e = fg.make_band_set([-2, -1, 1, 2])
+    dd = fg.dirichlet_data(e, [(0.0, -1)])
+    for seed in (0, 1):
+        rep = lt_finite_gap_constant(e, dd, n_samples=10, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(sumrules, "truncation_eigenvalues_outside",
+                      oracles.truncation_eigenvalues_outside_dense)
+            ref = lt_finite_gap_constant(e, dd, n_samples=10, seed=seed)
+        assert ref["probed"]
+        assert rep["C_estimate"] == pytest.approx(ref["C_estimate"], rel=1e-12)
+        assert rep["baseline"] == pytest.approx(ref["baseline"], rel=1e-12)
+
+
 def test_lt_finite_gap_constant_measures_against_baseline():
     # every lhs here stays below C_0 = 1, so measuring against C_0 reads C = 0
     e = fg.make_band_set([-2, -1, 1, 2])
@@ -176,6 +191,60 @@ def test_szego_dead_band_sentinel():
 
     mu = fg.measure_from_theta_density(E2, theta_fn, strict=False, validate=False)
     assert fg.szego_integral(mu, E2, -0.5) == -np.inf
+
+
+def _counting(quad, counts):
+    """quad with its integrand wrapped to add the sample count to counts."""
+    def run(fn, a, b, **kw):
+        def counted(x):
+            counts.append(len(x))
+            return fn(x)
+        return quad(counted, a, b, **kw)
+    return run
+
+
+def test_szego_nested_levels_match_unnested(monkeypatch, eq_twoband, period2_set):
+    from finitegap import quadrature, sumrules
+    p2 = period2_set
+    eq_p2 = fg.solve_equilibrium(p2)
+    cases = [
+        (fg.semicircle_measure(), E2),
+        (fg.measure_from_theta_density(
+            E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)]), E2),
+        (fg.measure_from_theta_density(
+            p2, lambda j, th: 0.9 * eq_p2.theta_density(j, th), [(0.3, 0.1)]), p2),
+        (fg.equilibrium_measure(eq_twoband), eq_twoband.set),
+    ]
+    for mu, e in cases:
+        for expo in (-0.5, 0.5):
+            nested, unnested = [], []
+            monkeypatch.setattr(sumrules, "de_quad",
+                                _counting(quadrature.de_quad, nested))
+            val = fg.szego_integral(mu, e, expo)
+            monkeypatch.setattr(sumrules, "de_quad",
+                                _counting(oracles.de_quad_unnested, unnested))
+            ref = fg.szego_integral(mu, e, expo)
+            assert val == pytest.approx(ref, rel=1e-13, abs=0)
+            assert sum(nested) < 0.75 * sum(unnested)
+
+
+def test_de_quad_nested_levels():
+    from finitegap.quadrature import de_quad, tanh_sinh_rule
+
+    def f(x):
+        return np.log(x) / np.sqrt(1 - x)
+
+    val, level = de_quad(f, 0.0, 1.0)
+    ref, ref_level = oracles.de_quad_unnested(f, 0.0, 1.0)
+    assert level == ref_level
+    assert val == pytest.approx(ref, rel=1e-14)
+    assert val == pytest.approx(4 * np.log(2) - 4, rel=1e-9)
+    # -inf only beyond the last level-4 node: first met on a new level-5 node
+    cut = tanh_sinh_rule(4, 0.0, 1.0)[0].max()
+    sentinel = de_quad(lambda x: np.where(x > cut, -np.inf, 1.0), 0.0, 1.0)
+    assert sentinel == (-np.inf, 5)
+    with pytest.raises(AccuracyError):
+        de_quad(lambda x: np.sin(200 * x), 0.0, 1.0, max_level=5)
 
 
 def test_szego_negative_density_rejected():
