@@ -8,7 +8,9 @@ coefficients of measures come from Lanczos with full reorthogonalization
 (the library strips by Stieltjes plus RKPW updates), gap-condition
 integrals come from 30-digit tanh-sinh (the library solves them on a float
 midpoint rule), and truncation eigenvalues off e come from the two whole
-tridiagonal spectra (the library bisects only on R \\ e).
+tridiagonal spectra (the library bisects only on R \\ e), and perturbation
+deltas and the Lieb-Thirring right side come from the plain formulas (the
+library gathers from cached uniform and power tables and sums |delta| once).
 """
 import numpy as np
 
@@ -272,3 +274,26 @@ def de_quad_unnested(fn, a, b, tol=1e-10, max_level=11):
             return val, level
         prev = val
     raise RuntimeError("tanh-sinh quadrature did not converge")
+
+
+def power_delta_dense(rate, amplitude, n):
+    """amplitude * n^(-rate), as one fresh power of the float indices."""
+    return amplitude * np.asarray(n, float) ** (-rate)
+
+
+def random_decay_delta_dense(seed, rate, amplitude, n):
+    """amplitude * U_n * n^(-rate) with U_1..U_max(n) drawn by uniform(-1, 1)
+    from default_rng(seed), multiplied in that order."""
+    n = np.asarray(n)
+    u = np.random.default_rng(seed).uniform(-1, 1, int(n.max()))
+    return amplitude * u[n - 1] * n.astype(float) ** (-rate)
+
+
+def lt_free_rhs_dense(d, target, tail=0.0):
+    """sum|delta b_n| + 4 sum|delta a_n| over the deltas d of one target, with
+    zeros on the untargeted side, plus the tail bound times 1, 4 or 5."""
+    zeros = np.zeros(len(d))
+    da = d if target in ("a", "both") else zeros
+    db = d if target in ("b", "both") else zeros
+    rhs = float(np.abs(db).sum() + 4.0 * np.abs(da).sum())
+    return rhs + {"b": 1.0, "a": 4.0, "both": 5.0}[target] * tail

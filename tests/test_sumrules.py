@@ -1,16 +1,18 @@
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import finitegap as fg
 from finitegap.errors import AccuracyError, MeasureError
+from finitegap import sumrules
 from finitegap.sumrules import (L1Decay, Oscillatory, PerturbationSpec,
                                 RandomDecay, SingleSite, SlowDecay,
                                 b_sum_diagnostics, lt_finite_gap_constant,
-                                series_diagnostics, twisted_sum_report,
-                                zero_spec)
+                                run_experiments, series_diagnostics,
+                                twisted_sum_report, zero_spec)
 
 import oracles
 
@@ -56,6 +58,95 @@ def test_random_decay_deterministic():
     s1 = RandomDecay(123, 1.5, 0.3)
     s2 = RandomDecay(123, 1.5, 0.3)
     assert np.array_equal(s1.delta(np.arange(1, 100)), s2.delta(np.arange(1, 100)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 1023, 1024, 1025, 2000, 200000])
+def test_random_decay_delta_bitwise(N):
+    # table sizes switch at powers of two; 200 000 is lt_free_bound's sum_to;
+    # an amplitude of 0.3, unlike 0.5, makes the order of the products show
+    n = np.arange(1, N + 1)
+    for rate in (1.2, 1.5, 1.8, 2.0):
+        for seed, amp in ((0, 0.5), (7, 0.3), (2**31 - 1, -0.3)):
+            got = RandomDecay(seed, rate, amp).delta(n)
+            want = oracles.random_decay_delta_dense(seed, rate, amp, n)
+            assert got.tobytes() == want.tobytes(), (rate, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rate=st.floats(1.01, 3.0), N=st.integers(1, 5000),
+       seed=st.integers(0, 2**32 - 1), amplitude=st.floats(-2.0, 2.0))
+def test_random_decay_delta_bitwise_property(rate, N, seed, amplitude):
+    n = np.arange(1, N + 1)
+    got = RandomDecay(seed, rate, amplitude).delta(n)
+    want = oracles.random_decay_delta_dense(seed, rate, amplitude, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [[5, 1, 3, 3], [4096, 2, 1025, 2, 7],
+                               np.arange(3, 3000, 7)[::-1]])
+def test_delta_gathers_arbitrary_indices(n):
+    n = np.asarray(n)
+    got = RandomDecay(11, 1.5, 0.5).delta(n)
+    assert got.tobytes() == oracles.random_decay_delta_dense(
+        11, 1.5, 0.5, n).tobytes()
+    for kind in (L1Decay(1.5, 0.5), SlowDecay(0.75, -0.3)):
+        want = oracles.power_delta_dense(kind.rate, kind.amplitude, n)
+        assert kind.delta(n).tobytes() == want.tobytes()
+
+
+def test_power_decay_delta_bitwise():
+    # rate 1 raises to the power -1, which numpy takes as a reciprocal
+    for N in (1, 1024, 1025, 200000):
+        n = np.arange(1, N + 1)
+        for kind in (L1Decay(1.2, 0.4), L1Decay(2.0, 1.0), L1Decay(2, 1.0),
+                     L1Decay(2.5, 0.1), SlowDecay(0.6, 0.3), SlowDecay(1.0, 0.3),
+                     SlowDecay(1, -0.7)):
+            want = oracles.power_delta_dense(kind.rate, kind.amplitude, n)
+            assert kind.delta(n).tobytes() == want.tobytes(), (N, kind.rate)
+
+
+def test_spec_deltas_bitwise():
+    n = np.arange(1, 2001)
+    d = oracles.random_decay_delta_dense(5, 1.5, 0.5, n)
+    zeros = np.zeros(2000)
+    for target, (wa, wb) in (("a", (d, zeros)), ("b", (zeros, d)),
+                             ("both", (d, d))):
+        da, db = PerturbationSpec(RandomDecay(5, 1.5, 0.5), target).deltas(2000)
+        assert da.tobytes() == wa.tobytes() and db.tobytes() == wb.tobytes()
+
+
+def test_power_tables_read_only_and_bounded():
+    n = np.arange(1, 3000)
+    L1Decay(1.5, 1.0).delta(n)
+    w = sumrules._power_table(1.5, 4096)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[1] = 0.0
+    for k in range(12):
+        L1Decay(1.1 + 0.1 * k, 1.0).delta(n)
+    info = sumrules._power_table.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
+def test_delta_returns_fresh_writable_arrays():
+    n = np.arange(1, 500)
+    for kind in (RandomDecay(3, 1.5, 0.5), L1Decay(1.5, 0.5),
+                 SlowDecay(0.8, 0.5)):
+        first = kind.delta(n)
+        keep = first.copy()
+        assert first.flags.writeable
+        first[:] = 99.0
+        assert kind.delta(n).tobytes() == keep.tobytes()
+
+
+def test_random_decay_cache_growth_keeps_values():
+    r = RandomDecay(21, 1.5, 0.5)
+    small = r.delta(np.arange(1, 100))
+    large = r.delta(np.arange(1, 50001))
+    assert r.delta(np.arange(1, 100)).tobytes() == small.tobytes()
+    assert large[:99].tobytes() == small.tobytes()
+    assert large.tobytes() == oracles.random_decay_delta_dense(
+        21, 1.5, 0.5, np.arange(1, 50001)).tobytes()
 
 
 def test_spec_json_round_trip():
@@ -114,6 +205,42 @@ def test_lt_free_bound_random_family():
                                 "both" if seed % 2 else "b")
         res = fg.lt_free_bound(spec, n_trunc=800)
         assert res.holds, f"seed {seed}: lhs={res.lhs} rhs={res.rhs}"
+
+
+def test_lt_free_bound_rhs_bitwise():
+    # the criterion-7 specs, plus single-site and l^1 kinds on every target
+    N = 200000
+    n = np.arange(1, N + 1)
+    cases = []
+    for seed in range(0, 100, 9):
+        d = oracles.random_decay_delta_dense(seed, 1.5, 0.5, n)
+        for target in ("a", "b", "both"):
+            spec = PerturbationSpec(RandomDecay(seed, 1.5, 0.5), target)
+            cases.append((spec, d))
+    for target in ("a", "b", "both"):
+        cases.append((PerturbationSpec(SingleSite(1, 3.0), target),
+                      np.where(n == 1, 3.0, 0.0)))
+        cases.append((PerturbationSpec(L1Decay(1.5, 0.5), target),
+                      oracles.power_delta_dense(1.5, 0.5, n)))
+    for spec, d in cases:
+        want = oracles.lt_free_rhs_dense(
+            d, spec.target, spec.kind.abs_tail_bound(N))
+        got = fg.lt_free_bound(spec, n_trunc=400, sum_to=N).rhs
+        assert got == want, spec.to_json()
+
+
+def test_lt_free_bound_draws_once(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    fg.lt_free_bound(PerturbationSpec(RandomDecay(4, 1.5, 0.5), "both"),
+                     n_trunc=2000)
+    assert calls == [(4,)]
 
 
 def test_lt_finite_gap_constant_reportable():
@@ -495,8 +622,6 @@ def test_three_condition_dead_band():
 
 
 def test_run_experiments_concurrent(tmp_path):
-    from finitegap.sumrules import run_experiments
-
     jobs = {
         ("lt", 0): lambda: fg.lt_free_bound(
             PerturbationSpec(RandomDecay(0, 1.6, 0.5), "b"), n_trunc=400),
@@ -509,6 +634,18 @@ def test_run_experiments_concurrent(tmp_path):
     # determinism: rerunning a job gives the same numbers
     again = run_experiments(jobs, workers=1)
     assert again[("lt", 0)].lhs == results[("lt", 0)].lhs
+
+
+def test_run_experiments_pool_matches_serial():
+    jobs = {s: (lambda s=s: fg.lt_free_bound(
+        PerturbationSpec(RandomDecay(s, 1.5, 0.5), "both" if s % 2 else "b"),
+        n_trunc=400)) for s in range(40)}
+    pooled = run_experiments(jobs, workers=2)
+    serial = {k: job() for k, job in jobs.items()}
+    for k in jobs:
+        assert pooled[k].to_json() == serial[k].to_json()
+        assert (np.array(pooled[k].eigenvalues).tobytes()
+                == np.array(serial[k].eigenvalues).tobytes())
 
 
 def test_three_condition_semicircle_plus_atom():
