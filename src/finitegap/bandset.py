@@ -154,39 +154,6 @@ def make_band_set(endpoints) -> FiniteGapSet:
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Cosine-substitution nodes/weights for integrals against 1/sqrt(|R|).
-
-    band integrals: int_band g / sqrt(|R|) dt ~= sum_i band_weights[j][i] * g(band_nodes[j][i])
-    gap integrals:  int_gap  g / sqrt(R)  dt ~= sum_i gap_weights[j][i] * g(gap_nodes[j][i])
-    """
-
-    set: FiniteGapSet
-    band_nodes: tuple
-    band_weights: tuple
-    gap_nodes: tuple
-    gap_weights: tuple
-    node_count: int
-
-
-def quadrature_grid(e: FiniteGapSet, n: int = 256) -> QuadratureGrid:
-    theta = cosine_nodes(n)
-    ct = np.cos(theta)
-    bn, bw, gn, gw = [], [], [], []
-    for j in range(e.n_bands):
-        t = e.midpoints[j] + e.radii[j] * ct
-        bn.append(t)
-        bw.append((np.pi / n) / np.sqrt(np.abs(e.rest_product(j, t))))
-    for j in range(e.ell):
-        beta, alpha = e.gap(j)
-        mid, rad = (beta + alpha) / 2, (alpha - beta) / 2
-        t = mid + rad * ct
-        gn.append(t)
-        gw.append((np.pi / n) / np.sqrt(np.abs(e.gap_rest_product(j, t))))
-    return QuadratureGrid(e, tuple(bn), tuple(bw), tuple(gn), tuple(gw), n)
-
-
-@dataclass(frozen=True)
 class EquilibriumData:
     """Solved equilibrium measure of a finite gap set.
 

@@ -416,19 +416,6 @@ def measure_from_theta_density(e: FiniteGapSet, theta_fn, point_masses=(),
                            validate=validate)
 
 
-def measure_from_band_density(e: FiniteGapSet, f, point_masses=(),
-                              strict: bool = True,
-                              validate: bool = True) -> SpectralMeasure:
-    """Build a measure from a density f(x) given in closed form on the bands."""
-
-    def theta_fn(j, theta):
-        t = e.midpoints[j] + e.radii[j] * np.cos(theta)
-        return f(t) * e.radii[j] * np.sin(theta)
-
-    return measure_from_theta_density(e, theta_fn, point_masses, strict=strict,
-                                      validate=validate)
-
-
 def equilibrium_measure(eq) -> SpectralMeasure:
     """The equilibrium measure of a solved band set as a SpectralMeasure."""
     return SpectralMeasure(eq.set, [c.copy() for c in eq.band_coeffs],

@@ -31,8 +31,9 @@ from .quadrature import de_quad
 # ---------------------------------------------------------------------------
 # perturbation kinds
 #
-# A kind maps integer indices n >= 1 to delta_n through delta(n).  Callers
-# never modify the array a kind returns; the kinds below return fresh ones.
+# A kind yields its head delta_1..delta_N through head(N) and maps any
+# integer indices n >= 1 to delta_n through delta(n).  The caller owns the
+# array either returns.
 
 
 @functools.lru_cache(maxsize=8)
@@ -51,13 +52,29 @@ def _power_table(rate: float, size: int) -> np.ndarray:
     return w
 
 
-def _powers(rate: float, n: np.ndarray) -> np.ndarray:
-    """n^(-rate) as a fresh array, gathered from the shared power table."""
-    size = max(1024, 1 << int(n.max(initial=0)).bit_length())
-    return np.take(_power_table(rate, size), n)
+def _powers(rate: float, N: int) -> np.ndarray:
+    """1^(-rate)..N^(-rate), a read-only slice of the shared power table."""
+    return _power_table(rate, max(1024, 1 << int(N).bit_length()))[1:N + 1]
 
 
-class L1Decay:
+class _Kind:
+    """delta(n) for any indices n >= 1, gathered from the kind's head."""
+
+    def delta(self, n) -> np.ndarray:
+        n = np.asarray(n)
+        if np.any(n < 1):
+            raise ValueError("perturbation indices are 1-based")
+        return np.take(self.head(int(n.max(initial=0))), n - 1)
+
+
+def _head(kind, N: int) -> np.ndarray:
+    """delta_1..delta_N of any kind; one that only defines delta(n) is
+    asked for the run 1..N."""
+    head = getattr(kind, "head", None)
+    return head(N) if head is not None else kind.delta(np.arange(1, N + 1))
+
+
+class L1Decay(_Kind):
     """delta_n = amplitude * n^(-rate) with rate > 1 (summable)."""
 
     def __init__(self, rate: float, amplitude: float):
@@ -66,10 +83,8 @@ class L1Decay:
         self.rate = rate
         self.amplitude = amplitude
 
-    def delta(self, n: np.ndarray) -> np.ndarray:
-        d = _powers(self.rate, np.asarray(n))
-        d *= self.amplitude
-        return d
+    def head(self, N: int) -> np.ndarray:
+        return _powers(self.rate, N) * self.amplitude
 
     def abs_tail_bound(self, n0: int) -> float:
         """sum_{n > n0} |delta_n| <= |amp| * n0^(1-rate)/(rate-1)."""
@@ -79,7 +94,7 @@ class L1Decay:
         return {"kind": "l1", "rate": self.rate, "amplitude": self.amplitude}
 
 
-class SlowDecay:
+class SlowDecay(_Kind):
     """delta_n = amplitude * n^(-rate), 1/2 < rate <= 1: l^2 but not l^1."""
 
     def __init__(self, rate: float, amplitude: float):
@@ -88,16 +103,14 @@ class SlowDecay:
         self.rate = rate
         self.amplitude = amplitude
 
-    def delta(self, n):
-        d = _powers(self.rate, np.asarray(n))
-        d *= self.amplitude
-        return d
+    def head(self, N: int) -> np.ndarray:
+        return _powers(self.rate, N) * self.amplitude
 
     def to_json(self):
         return {"kind": "slow", "rate": self.rate, "amplitude": self.amplitude}
 
 
-class SingleSite:
+class SingleSite(_Kind):
     """A single coefficient bumped at one index."""
 
     def __init__(self, index: int, value: float):
@@ -106,9 +119,11 @@ class SingleSite:
         self.index = index
         self.value = value
 
-    def delta(self, n):
-        n = np.asarray(n)
-        return np.where(n == self.index, self.value, 0.0)
+    def head(self, N: int) -> np.ndarray:
+        d = np.zeros(N)
+        if self.index <= N:
+            d[self.index - 1] = self.value
+        return d
 
     def abs_tail_bound(self, n0: int) -> float:
         return abs(self.value) if n0 < self.index else 0.0
@@ -117,7 +132,7 @@ class SingleSite:
         return {"kind": "single_site", "index": self.index, "value": self.value}
 
 
-class Oscillatory:
+class Oscillatory(_Kind):
     """delta_n = amplitude * cos(2 pi theta n + phase) / n^decay, 1/2 < decay <= 1."""
 
     def __init__(self, theta: float, amplitude: float, decay: float,
@@ -129,8 +144,8 @@ class Oscillatory:
         self.decay = decay
         self.phase = phase
 
-    def delta(self, n):
-        n = np.asarray(n, float)
+    def head(self, N: int) -> np.ndarray:
+        n = np.arange(1.0, N + 1)
         return self.amplitude * np.cos(2 * np.pi * self.theta * n + self.phase) \
             / n ** self.decay
 
@@ -140,7 +155,7 @@ class Oscillatory:
                 "phase": self.phase}
 
 
-class RandomDecay:
+class RandomDecay(_Kind):
     """delta_n = amplitude * U_n * n^(-rate), U_n ~ Uniform(-1,1), seeded."""
 
     def __init__(self, seed: int, rate: float, amplitude: float):
@@ -149,27 +164,15 @@ class RandomDecay:
         self.seed = seed
         self.rate = rate
         self.amplitude = amplitude
-        self._cache = np.empty(0)  # U_n at index n; index 0 unused
 
-    def _uniforms(self, n_max: int) -> np.ndarray:
-        if len(self._cache) <= n_max:
-            m = max(n_max, 2 * (len(self._cache) - 1), 1024)
-            u = np.empty(m + 1)
-            u[0] = 0.0
-            # -1 + 2r is uniform(-1, 1, m) bit for bit: numpy computes
-            # low + (high - low) * r, and the doubling is exact
-            v = u[1:]
-            np.random.default_rng(self.seed).random(out=v)
-            v *= 2.0
-            v -= 1.0
-            self._cache = u
-        return self._cache
-
-    def delta(self, n):
-        n = np.asarray(n)
-        d = np.take(self._uniforms(int(n.max(initial=0))), n)
+    def head(self, N: int) -> np.ndarray:
+        # -1 + 2r is uniform(-1, 1, N) bit for bit: numpy computes
+        # low + (high - low) * r, and the doubling is exact
+        d = np.random.default_rng(self.seed).random(N)
+        d *= 2.0
+        d -= 1.0
         d *= self.amplitude
-        d *= _powers(self.rate, n)
+        d *= _powers(self.rate, N)
         return d
 
     def abs_tail_bound(self, n0: int) -> float:
@@ -197,8 +200,7 @@ class PerturbationSpec:
 
     def deltas(self, N: int):
         """(delta_a, delta_b) arrays for n = 1..N."""
-        n = np.arange(1, N + 1)
-        d = self.kind.delta(n)
+        d = _head(self.kind, N)
         da = d if self.target in ("a", "both") else np.zeros(N)
         db = d if self.target in ("b", "both") else np.zeros(N)
         return da, db
@@ -314,9 +316,9 @@ def lt_free_bound(spec: PerturbationSpec, n_trunc: int = 2000,
     """
     # One sum s of |delta_n| serves both sides: weight * s rounds 5s once, as
     # s + 4.0*s does, so rhs is the float of summing |delta b| + 4|delta a|.
-    # It goes first: its sum_to draws fill a RandomDecay cache the head reads.
     weight = {"b": 1.0, "a": 4.0, "both": 5.0}[spec.target]
-    s = float(np.abs(spec.kind.delta(np.arange(1, sum_to + 1))).sum())
+    d = _head(spec.kind, sum_to)
+    s = float(np.abs(d, out=d).sum())
     rhs = weight * s
     rhs += weight * getattr(spec.kind, "abs_tail_bound", lambda n: 0.0)(sum_to)
     e2 = FiniteGapSet(((-2.0, 2.0),))
@@ -560,8 +562,8 @@ def run_experiments(jobs, out_dir=None, workers: int = 4) -> dict:
 
     Jobs that spend most of their time in numpy and LAPACK, which release the
     interpreter lock, run in parallel: 400 lt_free_bound jobs at N = 2000
-    with OPENBLAS_NUM_THREADS=1 on a 2-vCPU VM took 3.6-3.7 s wall with one
-    worker and 2.6 s with two.  Jobs in pure Python gain nothing.
+    with OPENBLAS_NUM_THREADS=1 on a 2-vCPU VM took 0.87-0.91 s wall with
+    one worker and 0.69-0.76 s with two.  Jobs in pure Python gain nothing.
     """
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
@@ -651,8 +653,10 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
     rep.verdicts["b_finite"] = bool(sz > -np.inf)
 
     # (c) capacity-normalized a-product bounded above and below
-    prods = np.array([a_product(J, n, capacity=eq.capacity)
-                      for n in range(1, n_strip + 1)])
+    # a_product(J, n, capacity=C) for every n <= n_strip, from one log-sum
+    a, _ = J.coeffs(n_strip)
+    prods = np.exp(np.cumsum(np.log(a))
+                   - np.arange(1, n_strip + 1) * math.log(eq.capacity))
     rep.add("a_product_range", [float(prods.min()), float(prods.max())],
             n=n_strip, capacity=eq.capacity)
     c_holds = prods.min() > 1e-6 and prods.max() < 1e6 and \

@@ -10,8 +10,12 @@ integrals come from 30-digit tanh-sinh (the library solves them on a float
 midpoint rule), and truncation eigenvalues off e come from the two whole
 tridiagonal spectra (the library bisects only on R \\ e), and perturbation
 deltas and the Lieb-Thirring right side come from the plain formulas (the
-library gathers from cached uniform and power tables and sums |delta| once).
+library slices shared power tables, draws into one buffer and sums |delta|
+once).  The fixed-size cosine-substitution grid checks integrals against
+1/sqrt(|R|) on bands and gaps (the library resolves them adaptively).
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -281,6 +285,12 @@ def power_delta_dense(rate, amplitude, n):
     return amplitude * np.asarray(n, float) ** (-rate)
 
 
+def oscillatory_delta_dense(theta, amplitude, decay, phase, n):
+    """amplitude * cos(2 pi theta n + phase) / n^decay on the float indices."""
+    n = np.asarray(n, float)
+    return amplitude * np.cos(2 * np.pi * theta * n + phase) / n ** decay
+
+
 def random_decay_delta_dense(seed, rate, amplitude, n):
     """amplitude * U_n * n^(-rate) with U_1..U_max(n) drawn by uniform(-1, 1)
     from default_rng(seed), multiplied in that order."""
@@ -297,3 +307,36 @@ def lt_free_rhs_dense(d, target, tail=0.0):
     db = d if target in ("b", "both") else zeros
     rhs = float(np.abs(db).sum() + 4.0 * np.abs(da).sum())
     return rhs + {"b": 1.0, "a": 4.0, "both": 5.0}[target] * tail
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Cosine-substitution nodes/weights for integrals against 1/sqrt(|R|).
+
+    band integrals: int_band g / sqrt(|R|) dt ~= sum_i band_weights[j][i] * g(band_nodes[j][i])
+    gap integrals:  int_gap  g / sqrt(R)  dt ~= sum_i gap_weights[j][i] * g(gap_nodes[j][i])
+    """
+
+    set: object
+    band_nodes: tuple
+    band_weights: tuple
+    gap_nodes: tuple
+    gap_weights: tuple
+    node_count: int
+
+
+def quadrature_grid(e, n=256):
+    """The n-point midpoint rule in theta on every band and gap of e."""
+    ct = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    bn, bw, gn, gw = [], [], [], []
+    for j in range(e.n_bands):
+        t = e.midpoints[j] + e.radii[j] * ct
+        bn.append(t)
+        bw.append((np.pi / n) / np.sqrt(np.abs(e.rest_product(j, t))))
+    for j in range(e.ell):
+        beta, alpha = e.gap(j)
+        mid, rad = (beta + alpha) / 2, (alpha - beta) / 2
+        t = mid + rad * ct
+        gn.append(t)
+        gw.append((np.pi / n) / np.sqrt(np.abs(e.gap_rest_product(j, t))))
+    return QuadratureGrid(e, tuple(bn), tuple(bw), tuple(gn), tuple(gw), n)

@@ -174,7 +174,7 @@ def test_density_domain_errors(eq_twoband):
 
 def test_density_integrates_to_one(eq_twoband):
     # quadrature oracle: integrate w over both bands with the grid machinery
-    grid = fg.quadrature_grid(eq_twoband.set, 512)
+    grid = oracles.quadrature_grid(eq_twoband.set, 512)
     total = 0.0
     for j in range(2):
         q = np.abs(eq_twoband.q_poly(grid.band_nodes[j]))
@@ -327,7 +327,7 @@ def test_rational_period_exact_rationals(p, k):
 
 
 def test_quadrature_grid_invariants(eq_twoband):
-    grid = fg.quadrature_grid(eq_twoband.set, 128)
+    grid = oracles.quadrature_grid(eq_twoband.set, 128)
     for j in range(2):
         a, b = eq_twoband.set.bands[j]
         assert np.all(grid.band_nodes[j] > a) and np.all(grid.band_nodes[j] < b)
@@ -339,7 +339,7 @@ def test_quadrature_grid_invariants(eq_twoband):
 
 def test_gap_conditions_hold(eq_twoband):
     # int_gap Q/sqrt(R) = 0 is the defining property of the gap zeros
-    grid = fg.quadrature_grid(eq_twoband.set, 512)
+    grid = oracles.quadrature_grid(eq_twoband.set, 512)
     val = np.sum(grid.gap_weights[0] * eq_twoband.q_poly(grid.gap_nodes[0]))
     assert abs(val) < 1e-12
     # against the 30-digit oracle: seeded sets with

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,58 @@ def test_delta_gathers_arbitrary_indices(n):
     for kind in (L1Decay(1.5, 0.5), SlowDecay(0.75, -0.3)):
         want = oracles.power_delta_dense(kind.rate, kind.amplitude, n)
         assert kind.delta(n).tobytes() == want.tobytes()
+    for index in (1, 2, 1025):
+        want = np.where(n == index, -0.7, 0.0)
+        assert SingleSite(index, -0.7).delta(n).tobytes() == want.tobytes()
+    osc = Oscillatory(0.3, 0.4, 0.75, 0.2)
+    want = oracles.oscillatory_delta_dense(0.3, 0.4, 0.75, 0.2, n)
+    assert osc.delta(n).tobytes() == want.tobytes()
+
+
+ALL_KINDS = (L1Decay(1.5, 0.5), L1Decay(2, -1.0), SlowDecay(0.75, -0.3),
+             SlowDecay(1.0, 0.3), SingleSite(1, 3.0), SingleSite(7, -0.5),
+             Oscillatory(0.3, 0.4, 0.75, 0.2), Oscillatory(0.25, 1.0, 1.0),
+             RandomDecay(11, 1.5, 0.5), RandomDecay(2**31 - 1, 1.8, -0.3))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.to_json()["kind"])
+def test_head_is_delta_on_the_run(kind):
+    for N in (0, 1, 6, 7, 1023, 1024, 1025, 5000):
+        head = kind.head(N)
+        assert head.flags.writeable and head.shape == (N,)
+        assert head.tobytes() == kind.delta(np.arange(1, N + 1)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.to_json()["kind"])
+def test_delta_rejects_index_zero(kind):
+    for n in (0, [3, 0, 1], [-2]):
+        with pytest.raises(ValueError, match="1-based"):
+            kind.delta(n)
+
+
+class DeltaOnly:
+    """A foreign kind that defines delta(n) and no head."""
+
+    def delta(self, n):
+        return 0.5 * np.asarray(n, float) ** -1.5
+
+    def to_json(self):
+        return {"kind": "delta_only"}
+
+
+def test_delta_only_kind_falls_back_to_the_run():
+    n = np.arange(1, 3001)
+    d = oracles.power_delta_dense(1.5, 0.5, n)
+    for target in ("a", "b", "both"):
+        spec = PerturbationSpec(DeltaOnly(), target)
+        ref = PerturbationSpec(L1Decay(1.5, 0.5), target)
+        da, db = spec.deltas(3000)
+        wa, wb = ref.deltas(3000)
+        assert da.tobytes() == wa.tobytes() and db.tobytes() == wb.tobytes()
+        got = fg.lt_free_bound(spec, n_trunc=400, sum_to=3000)
+        assert got.rhs == oracles.lt_free_rhs_dense(d, target)
+        want = fg.lt_free_bound(ref, n_trunc=400, sum_to=3000)
+        assert got.eigenvalues == want.eigenvalues and got.lhs == want.lhs
 
 
 def test_power_decay_delta_bitwise():
@@ -222,25 +275,34 @@ def test_lt_free_bound_rhs_bitwise():
                       np.where(n == 1, 3.0, 0.0)))
         cases.append((PerturbationSpec(L1Decay(1.5, 0.5), target),
                       oracles.power_delta_dense(1.5, 0.5, n)))
+        cases.append((PerturbationSpec(SlowDecay(0.75, -0.3), target),
+                      oracles.power_delta_dense(0.75, -0.3, n)))
+        cases.append((PerturbationSpec(Oscillatory(0.3, 0.4, 0.75, 0.2), target),
+                      oracles.oscillatory_delta_dense(0.3, 0.4, 0.75, 0.2, n)))
     for spec, d in cases:
-        want = oracles.lt_free_rhs_dense(
-            d, spec.target, spec.kind.abs_tail_bound(N))
+        tail = getattr(spec.kind, "abs_tail_bound", lambda n0: 0.0)(N)
+        want = oracles.lt_free_rhs_dense(d, spec.target, tail)
         got = fg.lt_free_bound(spec, n_trunc=400, sum_to=N).rhs
         assert got == want, spec.to_json()
 
 
-def test_lt_free_bound_draws_once(monkeypatch):
-    calls = []
+def test_lt_free_bound_draw_sizes(monkeypatch):
+    # the sum_to run is drawn once for the right side, the head once for J
+    sizes = []
     default_rng = np.random.default_rng
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return default_rng(*args, **kwargs)
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+        def random(self, size):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
     fg.lt_free_bound(PerturbationSpec(RandomDecay(4, 1.5, 0.5), "both"),
-                     n_trunc=2000)
-    assert calls == [(4,)]
+                     n_trunc=2000, sum_to=200000)
+    assert sizes == [200000, 2000]
 
 
 def test_lt_finite_gap_constant_reportable():
@@ -601,6 +663,13 @@ def test_three_condition_equilibrium(eq_twoband):
     assert rep.verdicts["c_bounded"]
     assert rep.verdicts["approach_to_torus"]
     assert rep.quantities["lt_half_sum"]["params"]["n_trunc"] == 512
+    # the cumulative log-sum agrees with a_product at every n up to rounding
+    J = fg.strip_coefficients(mu, 128, tol=1e-9)
+    prods = [fg.a_product(J, n, capacity=eq_twoband.capacity)
+             for n in range(1, 129)]
+    lo, hi = rep.quantities["a_product_range"]["value"]
+    assert lo == pytest.approx(min(prods), rel=1e-13)
+    assert hi == pytest.approx(max(prods), rel=1e-13)
 
 
 def test_three_condition_dead_band():
@@ -646,6 +715,23 @@ def test_run_experiments_pool_matches_serial():
         assert pooled[k].to_json() == serial[k].to_json()
         assert (np.array(pooled[k].eigenvalues).tobytes()
                 == np.array(serial[k].eigenvalues).tobytes())
+
+
+def test_run_experiments_shared_spec_matches_serial():
+    # one RandomDecay spec read by both workers at once: kinds keep no state
+    spec = PerturbationSpec(RandomDecay(17, 1.5, 0.5), "both")
+    jobs = {i: (lambda: fg.lt_free_bound(spec, n_trunc=400)) for i in range(16)}
+    serial = fg.lt_free_bound(spec, n_trunc=400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two workers finely
+    try:
+        pooled = run_experiments(jobs, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    for res in pooled.values():
+        assert res.to_json() == serial.to_json()
+        assert (np.array(res.eigenvalues).tobytes()
+                == np.array(serial.eigenvalues).tobytes())
 
 
 def test_three_condition_semicircle_plus_atom():
