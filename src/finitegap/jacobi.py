@@ -19,6 +19,7 @@ import threading
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .bandset import FiniteGapSet, dist_to_set, make_band_set
 from .errors import AccuracyError, DomainError, MeasureError
@@ -496,28 +497,38 @@ def g00_shifted(z: complex, b0: float, a0: float, m_plus: complex,
 def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
     """First N recursion coefficients of the discrete measure sum w_i delta_{x_i}.
 
-    Normalized discretized Stieltjes: the three-term recursion run on the
-    node vectors of p_0, p_1, ..., no reorthogonalization, O(N M).  Returns
-    (a_1..a_N, b_1..b_N) for the normalized measure.
+    Normalized discretized Stieltjes with level-1 BLAS on sqrt(w)-scaled
+    vectors: the three-term recursion runs on q_k = sqrt(w) p_k, so every
+    inner product is one ddot; three length-M buffers rotate between the
+    steps, no reorthogonalization, O(N M).  Returns (a_1..a_N, b_1..b_N) for
+    the normalized measure.  Raises MeasureError on a negative or non-finite
+    weight (a truncated cosine series can dip below zero).
     """
-    w = weights / weights.sum()
     M = len(nodes)
     if N + 1 > M:
         raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
+    bad = ~np.isfinite(weights) | (weights < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MeasureError(f"discretized weight {weights[i]} at node {nodes[i]} "
+                           "is negative or not finite")
     a = np.zeros(N)
     b = np.zeros(N)
-    p_prev = np.zeros(M)
-    p = np.ones(M)
+    q = np.sqrt(weights / weights.sum())
+    q_prev, v = np.zeros(M), np.empty(M)
     for k in range(N):
-        xp = nodes * p
-        b[k] = (w * p) @ xp
-        v = xp - b[k] * p - (a[k - 1] * p_prev if k else 0.0)
-        nrm2 = (w * v) @ v
+        np.multiply(nodes, q, out=v)
+        b[k] = ddot(q, v)
+        daxpy(q, v, a=-b[k])
+        if k:
+            daxpy(q_prev, v, a=-a[k - 1])
+        nrm2 = ddot(v, v)
         if not nrm2 > 0:
             raise AccuracyError(f"Stieltjes broke down at step {k + 1}: "
                                 "discretization too coarse")
         a[k] = math.sqrt(nrm2)
-        p_prev, p = p, v / a[k]
+        dscal(1.0 / a[k], v)
+        q_prev, q, v = q, v, q_prev
     return a, b
 
 
@@ -597,8 +608,9 @@ def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> Jacob
 
     The measure is discretized to per-band midpoint theta grids plus exact
     point masses (SpectralMeasure.discretize); discretized Stieltjes on the
-    band nodes gives N + 1 coefficients, and each point mass is folded in
-    by one RKPW update; no moment matrices, no reorthogonalization.
+    band nodes (level-1 BLAS on sqrt(w)-scaled vectors) gives N + 1
+    coefficients, and each point mass is folded in by one RKPW update; no
+    moment matrices, no reorthogonalization.
 
     When every band's cosine series resolved (quadrature.cos_series_resolved),
     one grid of n = N + 1 + max(len(band_coeffs)) + 8 nodes per band is

@@ -61,10 +61,15 @@ class _Kind:
     """delta(n) for any indices n >= 1, gathered from the kind's head."""
 
     def delta(self, n) -> np.ndarray:
-        n = np.asarray(n)
-        if np.any(n < 1):
-            raise ValueError("perturbation indices are 1-based")
+        n = _indices(n)
         return np.take(self.head(int(n.max(initial=0))), n - 1)
+
+
+def _indices(n) -> np.ndarray:
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError("perturbation indices are 1-based")
+    return n
 
 
 def _head(kind, N: int) -> np.ndarray:
@@ -124,6 +129,10 @@ class SingleSite(_Kind):
         if self.index <= N:
             d[self.index - 1] = self.value
         return d
+
+    def delta(self, n) -> np.ndarray:
+        # closed form: a large index costs no head up to it
+        return np.where(_indices(n) == self.index, float(self.value), 0.0)
 
     def abs_tail_bound(self, n0: int) -> float:
         return abs(self.value) if n0 < self.index else 0.0
@@ -199,11 +208,11 @@ class PerturbationSpec:
             raise ValueError("target must be 'a', 'b' or 'both'")
 
     def deltas(self, N: int):
-        """(delta_a, delta_b) arrays for n = 1..N."""
+        """(delta_a, delta_b) arrays for n = 1..N, two distinct arrays."""
         d = _head(self.kind, N)
-        da = d if self.target in ("a", "both") else np.zeros(N)
-        db = d if self.target in ("b", "both") else np.zeros(N)
-        return da, db
+        if self.target == "both":
+            return d, d.copy()
+        return (d, np.zeros(N)) if self.target == "a" else (np.zeros(N), d)
 
     def to_json(self):
         return {"target": self.target, **self.kind.to_json()}

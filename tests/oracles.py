@@ -5,7 +5,8 @@ oracle minimizes the discretized logarithmic energy directly by projected
 gradient descent, the closed forms below come from classical formulas
 (Joukowski map, symmetric two-band substitution u = x^2), and recursion
 coefficients of measures come from Lanczos with full reorthogonalization
-(the library strips by Stieltjes plus RKPW updates), gap-condition
+(the library strips by Stieltjes plus RKPW updates) and from the plain
+numpy Stieltjes loop (the library runs it on level-1 BLAS), gap-condition
 integrals come from 30-digit tanh-sinh (the library solves them on a float
 midpoint rule), and truncation eigenvalues off e come from the two whole
 tridiagonal spectra (the library bisects only on R \\ e), and perturbation
@@ -214,6 +215,34 @@ def lanczos_coeffs(nodes, weights, N):
             raise ValueError(f"Lanczos broke down at step {k + 1}")
         a[k] = np.sqrt(nrm2)
         Q[k + 1] = v / a[k]
+    return a, b
+
+
+def stieltjes_plain(nodes, weights, N):
+    """First N recursion coefficients of the discrete measure sum w_i delta_{x_i}.
+
+    Normalized discretized Stieltjes as a plain numpy loop on the node
+    vectors of p_0, p_1, ... (the library runs the same recursion with
+    level-1 BLAS on sqrt(w)-scaled vectors in three rotating buffers).
+    Returns (a_1..a_N, b_1..b_N) for the normalized measure.
+    """
+    w = weights / weights.sum()
+    M = len(nodes)
+    if N + 1 > M:
+        raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
+    a = np.zeros(N)
+    b = np.zeros(N)
+    p_prev = np.zeros(M)
+    p = np.ones(M)
+    for k in range(N):
+        xp = nodes * p
+        b[k] = (w * p) @ xp
+        v = xp - b[k] * p - (a[k - 1] * p_prev if k else 0.0)
+        nrm2 = (w * v) @ v
+        if not nrm2 > 0:
+            raise ValueError(f"Stieltjes broke down at step {k + 1}")
+        a[k] = np.sqrt(nrm2)
+        p_prev, p = p, v / a[k]
     return a, b
 
 

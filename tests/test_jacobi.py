@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import finitegap as fg
 from finitegap.errors import AccuracyError, MeasureError
-from finitegap.jacobi import PeriodicTail, _rkpw, _stieltjes_rkpw
+from finitegap.jacobi import PeriodicTail, _rkpw, _stieltjes, _stieltjes_rkpw
 from finitegap.quadrature import cos_series_resolved
 from finitegap.sumrules import PerturbationSpec, RandomDecay
 
@@ -521,6 +521,61 @@ def test_strip_exact_grid_is_sufficient(eq_twoband):
         assert np.abs(strip(n) - strip(2 * n)).max() <= 1e-13
     # the last measure's series has L = 121 terms
     assert np.abs(strip(N + 1 + L // 2 - 1) - strip(2 * n)).max() > 1e-6
+
+
+def test_stieltjes_kernel_matches_plain_loop(period2_set):
+    # the exact semicircle grid, the band part of 0.9 equilibrium on the
+    # period-2 set, and the dead band's grid with its zero weights, at the
+    # sizes the benchmark strips them
+    eq = fg.solve_equilibrium(period2_set)
+    mu_p2 = fg.measure_from_theta_density(
+        period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), validate=False)
+    for mu, N, M in ((fg.semicircle_measure(), 513, 524), (mu_p2, 385, 818),
+                     (_dead_band_measure(), 257, 18432)):
+        x, w = mu.discretize(M // mu.set.n_bands)
+        assert len(x) == M
+        a, b = _stieltjes(x, w, N)
+        ar, br = oracles.stieltjes_plain(x, w, N)
+        assert max(np.abs(a - ar).max(), np.abs(b - br).max()) <= 1e-13
+    assert np.any(w == 0)
+
+
+def test_stieltjes_kernel_matches_lanczos():
+    x, w = _dead_band_measure().discretize(2304)
+    a, b = _stieltjes(x, w, 65)
+    ar, br = oracles.lanczos_coeffs(x, w, 65)
+    assert max(np.abs(a - ar).max(), np.abs(b - br).max()) <= 1e-13
+
+
+def test_stieltjes_kernel_needs_more_nodes_than_coefficients():
+    x, w = fg.semicircle_measure().discretize(16)
+    with pytest.raises(ValueError, match="more nodes"):
+        _stieltjes(x, w, 16)
+
+
+def test_stieltjes_kernel_breaks_down_loudly():
+    # weight on one node only: p_1 vanishes on the support
+    x = np.linspace(-1.0, 1.0, 10)
+    w = np.zeros(10)
+    w[3] = 0.5
+    with pytest.raises(AccuracyError, match="broke down at step 1"):
+        _stieltjes(x, w, 5)
+
+
+def test_strip_rejects_negative_discretized_weight():
+    # a truncated cosine series that dips below zero near theta = pi
+    c = np.array([1.0, 1.2]) / np.pi
+    mu = fg.SpectralMeasure(E2, [c], validate=False)
+    with pytest.raises(MeasureError, match="negative or not finite"):
+        fg.strip_coefficients(mu, 8)
+    x, w = mu.discretize(64)
+    i = int(np.argmax(w < 0))
+    with pytest.raises(MeasureError, match=f"weight {w[i]} at node {x[i]} "):
+        _stieltjes(x, w, 8)
+    w = np.abs(w)
+    w[5] = np.nan
+    with pytest.raises(MeasureError, match=f"weight nan at node {x[5]} "):
+        _stieltjes(x, w, 8)
 
 
 def test_strip_provider_shared_between_threads(monkeypatch):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,32 @@ def test_spec_deltas_bitwise():
                              ("both", (d, d))):
         da, db = PerturbationSpec(RandomDecay(5, 1.5, 0.5), target).deltas(2000)
         assert da.tobytes() == wa.tobytes() and db.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.to_json()["kind"])
+def test_spec_deltas_both_are_distinct_arrays(kind):
+    da, db = PerturbationSpec(kind, "both").deltas(50)
+    want = db.copy()
+    da[0] = 9.0
+    assert db.tobytes() == want.tobytes()
+
+
+def test_single_site_delta_closed_form():
+    for index, value in ((1, 3.0), (7, -0.5), (1025, 2)):
+        kind = SingleSite(index, value)
+        for n in ([7, 7, 1, 7], [1025, 3, 1025, 1], np.arange(1, 1100)[::-1],
+                  [2, 2, 2]):
+            n = np.asarray(n)
+            want = kind.head(int(n.max()))[n - 1]
+            assert kind.delta(n).tobytes() == want.tobytes()
+    # a large index costs no head up to it
+    tracemalloc.start()
+    try:
+        d = SingleSite(1, 1.0).delta([10**6, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.tolist() == [0.0, 1.0] and peak < 10**5
 
 
 def test_power_tables_read_only_and_bounded():
