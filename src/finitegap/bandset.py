@@ -55,6 +55,14 @@ class FiniteGapSet:
         return np.array([x for band in self.bands for x in band])
 
     @cached_property
+    def R_coeffs(self) -> np.ndarray:
+        """Monomial coefficients of R, low to high; read-only, shared by the
+        torus points of this set."""
+        coeffs = np.polynomial.polynomial.polyfromroots(self.endpoints)
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @cached_property
     def midpoints(self) -> np.ndarray:
         return np.array([(a + b) / 2 for a, b in self.bands])
 

@@ -17,8 +17,11 @@ on (b_{l+1}, inf)); its value on gap j is (-1)^(l+1-j) sqrt(|R|), which the
 pole conditions below use explicitly.
 
 Jacobi coefficients come from stripping m exactly (_StrippingTail): one step
-per coefficient, O(l^2) polynomial arithmetic and no quadrature.  The
-spectral measure (torus_measure) is built only when it is asked for.
+per coefficient, O(l^2) polynomial arithmetic and no quadrature.  The step
+runs on Python floats, because its vectors are too short for numpy calls to
+pay, and its coefficients are bit-identical to the same recursion on numpy
+arrays.  The spectral measure (torus_measure) is built only when it is
+asked for.
 """
 from __future__ import annotations
 
@@ -255,32 +258,44 @@ class _StrippingTail:
     the last one stopped.  H's leading coefficient and the top two of S are
     reset to their exact values (1; 1, e_1) on every step: left to rounding
     they drift until the recursion breaks down.
+
+    A step runs on Python floats in lists of at most l + 2 entries, where
+    numpy's per-call overhead would cost more than the arithmetic.  Its one
+    numpy call is np.convolve for S^2, which fixes the summation order the
+    coefficients depend on; every other operation is one that the
+    elementwise array step makes, in the same order, so the coefficients are
+    bit for bit those of the array recursion (kept in tests/oracles.py).
     """
 
     def __init__(self, mh: MinimalHerglotz):
         ell = mh.set.ell
-        self.R = P.polyfromroots(mh.set.endpoints)
-        self.S = np.array(mh.S_coeffs, float)
-        self.G = P.polyfromroots(mh.dirichlet.gammas)
-        self.kappa = -1.0 / mh.c
+        # the quotient by the monic G reads only coefficients l..2l of R - S^2
+        self.R = mh.set.R_coeffs[ell:2 * ell + 1].tolist()
+        self.S = mh.S_coeffs.tolist()
+        self.G = P.polyfromroots(mh.dirichlet.gammas).tolist()
+        self.kappa = -1.0 / float(mh.c)
         self.e1 = self.S[ell]
         self.e2 = self.kappa + (self.S[ell - 1] if ell else 0.0)
         self.a, self.b = [], []
         self._lock = threading.Lock()
 
     def _step(self):
-        ell = len(self.G) - 1
+        S, G = self.S, self.G
+        ell = len(G) - 1
         # H = (R - S^2)/(2 kappa G): the top two coefficients cancel exactly,
-        # the rest is divided by the monic G from the top
-        rem = (self.R - np.convolve(self.S, self.S))[:2 * ell + 1] / (2 * self.kappa)
-        H = np.empty(ell + 1)
-        for k in range(ell, -1, -1):
-            H[k] = rem[k + ell]
-            rem[k:k + ell + 1] -= H[k] * self.G
+        # the rest is divided by the monic G from the top; each quotient
+        # coefficient takes its updates in the order the division makes them
+        k2 = 2 * self.kappa
+        H = [(r - s) / k2 for r, s in zip(self.R, np.convolve(S, S)[ell:].tolist())]
+        for k in range(ell - 1, -1, -1):
+            h = H[k]
+            for j in range(ell, k, -1):
+                h -= H[j] * G[k + ell - j]
+            H[k] = h
         H[ell] = 1.0
         b = (H[ell - 1] if ell else 0.0) - self.e1
-        S = 2 * (np.concatenate([[0.0], H]) - b * np.append(H, 0.0)) - self.S
-        S[ell:] = self.e1, 1.0
+        S = [2 * (hp - b * h) - s for hp, h, s in zip([0.0] + H, H[:ell], S)]
+        S += [self.e1, 1.0]
         kappa = self.e2 - (S[ell - 1] if ell else 0.0)
         if not kappa < 0:
             raise AccuracyError(f"stripping step {len(self.a) + 1}: a^2 = {-kappa / 2}")

@@ -13,9 +13,12 @@ tridiagonal spectra (the library bisects only on R \\ e), and perturbation
 deltas and the Lieb-Thirring right side come from the plain formulas (the
 library slices shared power tables, draws into one buffer and sums |delta|
 once).  The fixed-size cosine-substitution grid checks integrals against
-1/sqrt(|R|) on bands and gaps (the library resolves them adaptively).
+1/sqrt(|R|) on bands and gaps (the library resolves them adaptively).  Torus
+coefficients come from the stripping recursion in numpy array arithmetic
+(the library makes the same operations on Python floats, bit for bit).
 """
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -271,6 +274,54 @@ def torus_lanczos(mh, N, tol=1e-12):
         prev = cur
     raise RuntimeError(f"torus Lanczos did not settle to {tol:g} "
                        f"by {n} nodes per band")
+
+
+class StrippingTailPlain:
+    """The torus stripping recursion of isotorus._StrippingTail as numpy
+    array arithmetic on whole coefficient vectors: R from polyfromroots per
+    point, the full (R - S^2)/(2 kappa) and every update of the division
+    (the library does the same operations on Python floats, reading only
+    what the quotient needs).  Same interface: built from a MinimalHerglotz,
+    called with n; a and b hold the coefficients made so far."""
+
+    def __init__(self, mh):
+        ell = mh.set.ell
+        self.R = np.polynomial.polynomial.polyfromroots(mh.set.endpoints)
+        self.S = np.array(mh.S_coeffs, float)
+        self.G = np.polynomial.polynomial.polyfromroots(mh.dirichlet.gammas)
+        self.kappa = -1.0 / mh.c
+        self.e1 = self.S[ell]
+        self.e2 = self.kappa + (self.S[ell - 1] if ell else 0.0)
+        self.a, self.b = [], []
+
+    def _step(self):
+        from finitegap.errors import AccuracyError
+        ell = len(self.G) - 1
+        rem = (self.R - np.convolve(self.S, self.S))[:2 * ell + 1] / (2 * self.kappa)
+        H = np.empty(ell + 1)
+        for k in range(ell, -1, -1):
+            H[k] = rem[k + ell]
+            rem[k:k + ell + 1] -= H[k] * self.G
+        H[ell] = 1.0
+        b = (H[ell - 1] if ell else 0.0) - self.e1
+        S = 2 * (np.concatenate([[0.0], H]) - b * np.append(H, 0.0)) - self.S
+        S[ell:] = self.e1, 1.0
+        kappa = self.e2 - (S[ell - 1] if ell else 0.0)
+        if not kappa < 0:
+            raise AccuracyError(f"stripping step {len(self.a) + 1}: a^2 = {-kappa / 2}")
+        self.S, self.G, self.kappa = S, H, kappa
+        self.a.append(math.sqrt(-kappa / 2))
+        self.b.append(b)
+
+    def __call__(self, n):
+        while len(self.a) < n:
+            self._step()
+        return np.array(self.a[:n]), np.array(self.b[:n])
+
+
+def stripping_tail_plain(mh, n):
+    """First n torus coefficients (a, b) of mh by the array recursion."""
+    return StrippingTailPlain(mh)(n)
 
 
 def truncation_eigenvalues_outside_dense(J, e, N, stability_tol=1e-6):

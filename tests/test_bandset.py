@@ -70,6 +70,15 @@ def test_R_sign_structure():
     assert e.R(np.array(3.0)) > 0 and e.R(np.array(-3.0)) > 0
 
 
+def test_R_coeffs_cached_and_read_only():
+    e = fg.make_band_set([-2, -1, 0.5, 2])
+    c = e.R_coeffs
+    assert c is e.R_coeffs
+    assert np.array_equal(c, np.polynomial.polynomial.polyfromroots(e.endpoints))
+    with pytest.raises(ValueError):
+        c[0] = 1.0
+
+
 def test_root_products_mpmath_oracle_many_gaps():
     # 50-digit products over the same float64 roots, up to l = 16 gaps
     pytest.importorskip("mpmath")

@@ -389,3 +389,74 @@ def test_dist_two_gap_product_grid():
     res = fg.dist_to_torus(tp.params, e, 2, grid_per_gap=6)
     assert res.value < 1e-3
     assert np.abs(np.array(res.dirichlet.gammas) - [-0.6, 0.7]).max() < 0.05
+
+
+# ---------------------------------------------------------------------------
+# the scalar stripping step against the array recursion
+
+
+def _strip_both(mh, n):
+    """(a bytes, b bytes, error message) of the library tail and of the
+    array-recursion oracle after asking each for n coefficients; a
+    breakdown keeps the coefficients made before it."""
+    out = []
+    for cls in (fg.isotorus._StrippingTail, oracles.StrippingTailPlain):
+        tail = cls(mh)
+        try:
+            tail(n)
+            err = None
+        except AccuracyError as exc:
+            err = str(exc)
+        out.append((np.array(tail.a).tobytes(), np.array(tail.b).tobytes(), err))
+    return out
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 4, 8, 12, 16])
+def test_stripping_tail_bit_identical_to_array_oracle(ell):
+    # interior gammas on the drawn sheets, on all +1 and on all -1 sheets,
+    # and every gamma on a gap edge; many-gap sets break down early (ROADMAP
+    # item 2), and then both raise the same error at the same step
+    for s in range(2):
+        e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
+        dd = fg.random_dirichlet(e, np.random.default_rng(s))
+        cases = [dd, fg.DirichletData(dd.gammas, (1,) * ell),
+                 fg.DirichletData(dd.gammas, (-1,) * ell),
+                 fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi)]
+        for dd in cases:
+            mh = fg.minimal_herglotz(e, dd)
+            got, want = _strip_both(mh, 400)
+            assert got == want, (ell, s, dd)
+            if got[2] is None:
+                # and through the public torus point
+                a, b = fg.torus_jacobi(e, dd, 400).params.coeffs(400)
+                ar, br = oracles.stripping_tail_plain(mh, 400)
+                assert a.tobytes() == ar.tobytes() and b.tobytes() == br.tobytes()
+
+
+@pytest.mark.parametrize("ell, set_seed, dd_seed, step, msg", [
+    (12, 12004, 4, 21, "stripping step 21: a^2 = -19.40439427657202"),
+    (16, 16000, 0, 8, None),
+])
+def test_stripping_breakdown_matches_array_oracle(ell, set_seed, dd_seed, step, msg):
+    e = random_band_set(np.random.default_rng(set_seed), ell)
+    mh = fg.minimal_herglotz(e, fg.random_dirichlet(e, np.random.default_rng(dd_seed)))
+    got, want = _strip_both(mh, 400)
+    assert got == want
+    assert got[2].startswith(f"stripping step {step}: ")
+    assert len(got[0]) == (step - 1) * 8
+    if msg is not None:
+        assert got[2] == msg
+
+
+def test_dist_to_torus_bit_identical_with_array_oracle(monkeypatch, period2_set,
+                                                       period2_torus):
+    # the period-2 searches of test_dist_self_floor and
+    # test_dist_free_from_two_band_torus
+    cases = [(period2_torus.params, 3, 16), (fg.free_jacobi(), 1, 8),
+             (fg.free_jacobi(), 5, 8)]
+    got = [fg.dist_to_torus(J, period2_set, m, grid_per_gap=g) for J, m, g in cases]
+    monkeypatch.setattr(fg.isotorus, "_StrippingTail", oracles.StrippingTailPlain)
+    want = [fg.dist_to_torus(J, period2_set, m, grid_per_gap=g) for J, m, g in cases]
+    for r, w in zip(got, want):
+        assert r.value == w.value
+        assert r.dirichlet == w.dirichlet

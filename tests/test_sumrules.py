@@ -699,6 +699,23 @@ def test_three_condition_equilibrium(eq_twoband):
     assert hi == pytest.approx(max(prods), rel=1e-13)
 
 
+def test_three_condition_torus_deviation_bit_identical_with_array_oracle(
+        monkeypatch, eq_twoband):
+    mu = fg.equilibrium_measure(eq_twoband)
+
+    def deviation():
+        rep = fg.three_condition_experiment(eq_twoband.set, mu, n_strip=128,
+                                            n_trunc=512, torus_grid=8,
+                                            eq=eq_twoband)
+        return rep.quantities["torus_deviation"]["value"]
+
+    got = deviation()
+    monkeypatch.setattr(fg.isotorus, "_StrippingTail", oracles.StrippingTailPlain)
+    want = deviation()
+    assert len(got) == 2
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_three_condition_dead_band():
     def theta_fn(j, th):
         x = 2 * np.cos(th)
