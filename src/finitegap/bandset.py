@@ -272,15 +272,33 @@ def _eq_theta_density(e: FiniteGapSet, zeros: np.ndarray, j: int, theta):
     return np.abs(root_product(t, zeros)) / (np.pi * np.sqrt(np.abs(e.rest_product(j, t))))
 
 
-def equilibrium_density(eq: EquilibriumData, x: float) -> float:
-    """w(x) for x strictly inside a band; DomainError otherwise."""
+def equilibrium_density(eq: EquilibriumData, x) -> float | np.ndarray:
+    """w(x) = |Q(x)| / (pi sqrt(|R(x)|)) for x strictly inside a band.
+
+    x is a float or an array; a float gives a float.  The points are grouped
+    by band, and each element takes the same operations in the same order,
+    (x - a_j)(b_j - x)|rest_product_j(x)| and then |Q(x)| / (pi sqrt(that)),
+    so an array gives the scalar values bit for bit.  DomainError if any
+    element is outside every band interior (endpoints included).
+    """
     e = eq.set
-    j = e.band_index(x)
-    if j is None or x == e.bands[j][0] or x == e.bands[j][1]:
-        raise DomainError(f"{x} is not interior to any band of {e.bands}")
-    a, b = e.bands[j]
-    rr = (x - a) * (b - x) * np.abs(e.rest_product(j, np.asarray(x)))
-    return float(np.abs(eq.q_poly(np.asarray(x, float))) / (np.pi * np.sqrt(rr)))
+    xs = np.asarray(x, float)
+    flat = xs.reshape(-1)
+    # endpoints[slot - 1] < x <= endpoints[slot]; interior of band j iff
+    # slot == 2j + 1 and x < b_j (a nan sorts past the end, an even slot)
+    slot = np.searchsorted(e.endpoints, flat)
+    bad = (slot % 2 == 0) | (flat == e.endpoints.take(slot, mode="clip"))
+    if bad.any():
+        raise DomainError(f"{flat[np.argmax(bad)]} is not interior to any band "
+                          f"of {e.bands}")
+    out = np.empty_like(flat)
+    for j, (a, b) in enumerate(e.bands):
+        idx = np.flatnonzero(slot == 2 * j + 1)
+        if len(idx):
+            t = flat[idx]
+            rr = (t - a) * (b - t) * np.abs(e.rest_product(j, t))
+            out[idx] = np.abs(eq.q_poly(t)) / (np.pi * np.sqrt(rr))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def potential(eq: EquilibriumData, z) -> float | np.ndarray:

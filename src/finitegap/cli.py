@@ -8,6 +8,12 @@ dependency file.
 Every output embeds the tool version and a sha256 hash of the canonical
 config, and numeric CSV cells use 17 significant digits, so identical
 config+seed reruns are byte-identical.
+
+Output works in bulk: each CSV row is one %-template that the command states
+(integers %d, floats %.17g, which is the float formatter f"{x:.17g}" uses),
+filled from Python scalars that .tolist() and zip give; eqm evaluates the
+density once per band on the whole grid.  main parses with one module-level
+parser, built once per process.
 """
 from __future__ import annotations
 
@@ -37,10 +43,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
 
 
 def _config_hash(config: dict) -> str:
@@ -82,13 +84,12 @@ def _json_default(o):
     raise TypeError(f"cannot serialize {type(o)}")
 
 
-def _write_csv(out: Path, name: str, header: list, rows, config: dict):
+def _write_csv(out: Path, name: str, header: list, template: str, rows,
+               config: dict):
+    """One line per row, formatted by the caller's %-template."""
     lines = [f"# finitegap {__version__} config={_config_hash(config)}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else
-                              str(v) if isinstance(v, (int, np.integer)) else
-                              _fmt(v) for v in row))
+    lines += [template % row for row in rows]
     (out / name).write_text("\n".join(lines) + "\n")
 
 
@@ -190,11 +191,12 @@ def cmd_eqm(config: dict, args, out: Path) -> int:
         a, b = e.bands[j]
         pad = (b - a) * 1e-6
         xs = np.linspace(a + pad, b - pad, gp)
-        phi = potential(eq, xs.astype(complex)).tolist()
-        rows += [(x, equilibrium_density(eq, x), p, eq.robin_constant - p)
-                 for x, p in zip(xs.tolist(), phi)]
+        phi = potential(eq, xs.astype(complex))
+        rows += zip(xs.tolist(), equilibrium_density(eq, xs).tolist(),
+                    phi.tolist(), (eq.robin_constant - phi).tolist())
     _write_json(out, "equilibrium.json", payload, config)
-    _write_csv(out, "eqm_grid.csv", ["x", "w", "phi", "green"], rows, config)
+    _write_csv(out, "eqm_grid.csv", ["x", "w", "phi", "green"],
+               "%.17g,%.17g,%.17g,%.17g", rows, config)
     if not args.quiet:
         print(f"capacity {eq.capacity:.12g}, harmonic measures "
               f"{np.round(eq.harmonic_measures, 6)}")
@@ -216,8 +218,8 @@ def cmd_torus(config: dict, args, out: Path) -> int:
                "measure_mass": tp.measure.total_mass(),
                "n": n}
     _write_json(out, "torus.json", payload, config)
-    _write_csv(out, "torus_coeffs.csv", ["n", "a_n", "b_n"],
-               [(i + 1, a[i], b[i]) for i in range(n)], config)
+    _write_csv(out, "torus_coeffs.csv", ["n", "a_n", "b_n"], "%d,%.17g,%.17g",
+               zip(range(1, n + 1), a.tolist(), b.tolist()), config)
     if not args.quiet:
         print(f"torus point on {e.bands}: a1..a4 = {np.round(a[:4], 8)}")
     return 0
@@ -233,7 +235,7 @@ def cmd_oprl(config: dict, args, out: Path) -> int:
     rows = [(z.real, z.imag, k, v.real, v.imag)
             for z, col in zip(zs.tolist(), vals.T.tolist()) for k, v in enumerate(col)]
     _write_csv(out, "oprl.csv", ["z_re", "z_im", "n", "p_re", "p_im"],
-               rows, config)
+               "%.17g,%.17g,%d,%.17g,%.17g", rows, config)
     return 0
 
 
@@ -262,8 +264,9 @@ def cmd_perturb(config: dict, args, out: Path) -> int:
     _write_json(out, "perturb.json", payload, config)
     _write_csv(out, "perturb_coeffs.csv",
                ["n", "a_n", "b_n", "delta_a", "delta_b"],
-               [(i + 1, a[i], b[i], a[i] - a0[i], b[i] - b0[i])
-                for i in range(n)], config)
+               "%d,%.17g,%.17g,%.17g,%.17g",
+               zip(range(1, n + 1), a.tolist(), b.tolist(), (a - a0).tolist(),
+                   (b - b0).tolist()), config)
     return 0
 
 
@@ -317,8 +320,8 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         avg, dms = cesaro_distance(base, e, M, return_sequence=True)
         payload = {"experiment": exp, "M": M, "cesaro_average": avg}
         _write_json(out, "sumrule_cesaro.json", payload, config)
-        _write_csv(out, "cesaro_dm.csv", ["m", "d_m"],
-                   [(i + 1, dms[i]) for i in range(M)], config)
+        _write_csv(out, "cesaro_dm.csv", ["m", "d_m"], "%d,%.17g",
+                   zip(range(1, M + 1), dms.tolist()), config)
     elif exp == "oscillatory":
         e = _bands_from_config(config)
         eq = solve_equilibrium(e)
@@ -355,7 +358,8 @@ def cmd_report(config: dict, args, out: Path) -> int:
             rows.append((path.name, "-", "-"))
         for key, val in sorted(verdicts.items()):
             rows.append((path.name, key, str(val)))
-    _write_csv(out, "summary.csv", ["file", "verdict", "value"], rows, config)
+    _write_csv(out, "summary.csv", ["file", "verdict", "value"], "%s,%s,%s",
+               rows, config)
     if not args.quiet:
         print(f"report: {len(rows)} rows")
     return 0
@@ -377,8 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every call of main in a process
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args)
         if not isinstance(config, dict):

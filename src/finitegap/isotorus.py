@@ -151,41 +151,43 @@ def minimal_herglotz(e: FiniteGapSet, dd: DirichletData) -> MinimalHerglotz:
     Conditions: S matches the two leading asymptotic coefficients of sqrt(R);
     at each interior gamma_j, S(gamma_j) = -sigma_j * sqrtR(gamma_j) (branch
     value on the gap); at a degenerate (edge) gamma_j, S(gamma_j) = 0.
+
+    The per-gap values (R(gamma_j), the pole-weight products) are Python
+    floats in root_product's order; the powers of the gamma array, the
+    Vandermonde matrix and its solve stay in numpy, so every number is the
+    one the all-numpy route gives, bit for bit.
     """
     if len(dd) != e.ell:
         raise FiniteGapError(f"Dirichlet data has {len(dd)} points, set has {e.ell} gaps")
     ell = e.ell
     roots = e.endpoints
-    s1 = roots.sum()
-    s2 = (s1 * s1 - np.sum(roots**2)) / 2
-    r1, r2 = -s1, s2
-    e1 = r1 / 2
-    e2 = (r2 - e1 * e1) / 2
+    s1 = float(roots.sum())
+    s2 = (s1 * s1 - float(np.sum(roots**2))) / 2
+    e1 = -s1 / 2
+    e2 = (s2 - e1 * e1) / 2
 
-    gammas = np.asarray(dd.gammas, float)
+    gl = [float(g) for g in dd.gammas]
+    ends = roots.tolist()
+    rho = [0.0] * ell
+    tau = [0.0] * ell
+    interior = [g not in e.gap(j) for j, g in enumerate(gl)]
+    for j, g in enumerate(gl):
+        if interior[j]:
+            Rg = 1.0
+            for r in ends:
+                Rg *= g - r
+            # branch value on gap j (0-based): (-1)^(l - j) sqrt(R)
+            rho[j] = (-1.0) ** (ell - j) * math.sqrt(Rg)
+            tau[j] = -dd.sheets[j] * rho[j]
     if ell > 0:
-        rho = np.empty(ell)
-        tau = np.empty(ell)
-        for j in range(ell):
-            beta, alpha = e.gap(j)
-            g = gammas[j]
-            if g == beta or g == alpha:
-                rho[j] = 0.0
-                tau[j] = 0.0
-            else:
-                Rg = float(e.R(g))
-                # branch value on gap j (0-based): (-1)^(l - j) sqrt(R)
-                rho[j] = (-1.0) ** (ell - j) * math.sqrt(Rg)
-                tau[j] = -dd.sheets[j] * rho[j]
-        V = np.vander(gammas, ell, increasing=True)
-        rhs = tau - gammas ** (ell + 1) - e1 * gammas**ell
+        gammas = np.array(gl)
+        rhs = np.array(tau) - gammas ** (ell + 1) - e1 * gammas**ell
         try:
-            s_low = np.linalg.solve(V, rhs)
+            s_low = np.linalg.solve(np.vander(gammas, ell, increasing=True), rhs)
         except np.linalg.LinAlgError as exc:
             raise AccuracyError(f"degenerate Dirichlet data: {exc}") from exc
-        kappa = e2 - s_low[ell - 1]
+        kappa = e2 - float(s_low[ell - 1])
     else:
-        rho = np.empty(0)
         s_low = np.empty(0)
         kappa = e2
     if kappa == 0:
@@ -195,17 +197,18 @@ def minimal_herglotz(e: FiniteGapSet, dd: DirichletData) -> MinimalHerglotz:
         raise AccuracyError(f"scale c = {c} not positive; construction bug")
     S = np.concatenate([s_low, [e1, 1.0]])
 
-    weights = np.zeros(ell)
-    for j in range(ell):
-        beta, alpha = e.gap(j)
-        g = gammas[j]
-        if g != beta and g != alpha and dd.sheets[j] == +1:
-            others = root_product(g, np.delete(gammas, j))
+    weights = [0.0] * ell
+    for j, g in enumerate(gl):
+        if interior[j] and dd.sheets[j] == +1:
+            others = 1.0
+            for i, gi in enumerate(gl):
+                if i != j:
+                    others *= g - gi
             w = -2.0 * c * rho[j] / others
             if w <= 0:
                 raise AccuracyError(f"nonpositive pole weight {w}; construction bug")
             weights[j] = w
-    return MinimalHerglotz(e, dd, S, c, weights)
+    return MinimalHerglotz(e, dd, S, c, np.array(weights))
 
 
 def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:

@@ -502,7 +502,10 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
     inner product is one ddot; three length-M buffers rotate between the
     steps, no reorthogonalization, O(N M).  Returns (a_1..a_N, b_1..b_N) for
     the normalized measure.  Raises MeasureError on a negative or non-finite
-    weight (a truncated cosine series can dip below zero).
+    weight (a truncated cosine series can dip below zero), and AccuracyError
+    when fewer than N + 1 nodes carry positive weight: with K such nodes
+    a_K vanishes in exact arithmetic, and past it the recursion runs on
+    rounding noise.
     """
     M = len(nodes)
     if N + 1 > M:
@@ -512,6 +515,11 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
         i = int(np.argmax(bad))
         raise MeasureError(f"discretized weight {weights[i]} at node {nodes[i]} "
                            "is negative or not finite")
+    support = np.count_nonzero(weights)
+    if support < N + 1:
+        raise AccuracyError(f"Stieltjes broke down at step {max(support, 1)}: "
+                            f"{support} nodes carry positive weight, "
+                            f"{N + 1} needed")
     a = np.zeros(N)
     b = np.zeros(N)
     q = np.sqrt(weights / weights.sum())

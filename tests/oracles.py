@@ -14,8 +14,11 @@ deltas and the Lieb-Thirring right side come from the plain formulas (the
 library slices shared power tables, draws into one buffer and sums |delta|
 once).  The fixed-size cosine-substitution grid checks integrals against
 1/sqrt(|R|) on bands and gaps (the library resolves them adaptively).  Torus
-coefficients come from the stripping recursion in numpy array arithmetic
-(the library makes the same operations on Python floats, bit for bit).
+coefficients and the minimal Herglotz function come from numpy array
+arithmetic (the library makes the same operations on Python floats, bit for
+bit), the equilibrium density from the one-point route (the library groups
+an array of points by band), and CSV rows from a per-cell type dispatch (the
+library formats each row with one template).
 """
 from dataclasses import dataclass
 import math
@@ -322,6 +325,103 @@ class StrippingTailPlain:
 def stripping_tail_plain(mh, n):
     """First n torus coefficients (a, b) of mh by the array recursion."""
     return StrippingTailPlain(mh)(n)
+
+
+def minimal_herglotz_plain(e, dd):
+    """isotorus.minimal_herglotz on numpy arrays throughout: R(gamma_j) and
+    the pole-weight products by root_product on 0-d arrays (the library
+    makes the same operations on Python floats, bit for bit).
+
+    Conditions: S matches the two leading asymptotic coefficients of sqrt(R);
+    at each interior gamma_j, S(gamma_j) = -sigma_j * sqrtR(gamma_j) (branch
+    value on the gap); at a degenerate (edge) gamma_j, S(gamma_j) = 0.
+    """
+    from finitegap.bandset import root_product
+    from finitegap.errors import AccuracyError, FiniteGapError
+    from finitegap.isotorus import MinimalHerglotz
+    if len(dd) != e.ell:
+        raise FiniteGapError(f"Dirichlet data has {len(dd)} points, set has {e.ell} gaps")
+    ell = e.ell
+    roots = e.endpoints
+    s1 = roots.sum()
+    s2 = (s1 * s1 - np.sum(roots**2)) / 2
+    r1, r2 = -s1, s2
+    e1 = r1 / 2
+    e2 = (r2 - e1 * e1) / 2
+
+    gammas = np.asarray(dd.gammas, float)
+    if ell > 0:
+        rho = np.empty(ell)
+        tau = np.empty(ell)
+        for j in range(ell):
+            beta, alpha = e.gap(j)
+            g = gammas[j]
+            if g == beta or g == alpha:
+                rho[j] = 0.0
+                tau[j] = 0.0
+            else:
+                Rg = float(e.R(g))
+                # branch value on gap j (0-based): (-1)^(l - j) sqrt(R)
+                rho[j] = (-1.0) ** (ell - j) * math.sqrt(Rg)
+                tau[j] = -dd.sheets[j] * rho[j]
+        V = np.vander(gammas, ell, increasing=True)
+        rhs = tau - gammas ** (ell + 1) - e1 * gammas**ell
+        try:
+            s_low = np.linalg.solve(V, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise AccuracyError(f"degenerate Dirichlet data: {exc}") from exc
+        kappa = e2 - s_low[ell - 1]
+    else:
+        rho = np.empty(0)
+        s_low = np.empty(0)
+        kappa = e2
+    if kappa == 0:
+        raise AccuracyError("normalization failed: kappa = 0")
+    c = -1.0 / kappa
+    if c <= 0:
+        raise AccuracyError(f"scale c = {c} not positive; construction bug")
+    S = np.concatenate([s_low, [e1, 1.0]])
+
+    weights = np.zeros(ell)
+    for j in range(ell):
+        beta, alpha = e.gap(j)
+        g = gammas[j]
+        if g != beta and g != alpha and dd.sheets[j] == +1:
+            others = root_product(g, np.delete(gammas, j))
+            w = -2.0 * c * rho[j] / others
+            if w <= 0:
+                raise AccuracyError(f"nonpositive pole weight {w}; construction bug")
+            weights[j] = w
+    return MinimalHerglotz(e, dd, S, c, weights)
+
+
+def equilibrium_density_plain(eq, x):
+    """w(x) at one float x by the scalar route: the band by a linear search,
+    then (x - a)(b - x)|rest_product| and |Q(x)| / (pi sqrt(that)) on 0-d
+    arrays (the library groups an array of points by band)."""
+    from finitegap.errors import DomainError
+    e = eq.set
+    j = e.band_index(x)
+    if j is None or x == e.bands[j][0] or x == e.bands[j][1]:
+        raise DomainError(f"{x} is not interior to any band of {e.bands}")
+    a, b = e.bands[j]
+    rr = (x - a) * (b - x) * np.abs(e.rest_product(j, np.asarray(x)))
+    return float(np.abs(eq.q_poly(np.asarray(x, float))) / (np.pi * np.sqrt(rr)))
+
+def write_csv_plain(out, name, header, template, rows, config):
+    """The CLI's CSV writer with a per-cell type dispatch: strings as they
+    are, integers by str, anything else by f"{x:.17g}"; template is not read
+    (the library formats each row with the caller's %-template)."""
+    from finitegap import __version__
+    from finitegap.cli import _config_hash
+    lines = [f"# finitegap {__version__} config={_config_hash(config)}",
+             ",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else
+                              str(v) if isinstance(v, (int, np.integer)) else
+                              f"{v:.17g}" for v in row))
+    (out / name).write_text("\n".join(lines) + "\n")
+
 
 
 def truncation_eigenvalues_outside_dense(J, e, N, stability_tol=1e-6):

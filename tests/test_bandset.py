@@ -7,6 +7,7 @@ from finitegap.errors import DomainError, FiniteGapError
 from finitegap.quadrature import cos_series_resolved
 
 import oracles
+from conftest import random_band_set
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,6 @@ def test_R_coeffs_cached_and_read_only():
 def test_root_products_mpmath_oracle_many_gaps():
     # 50-digit products over the same float64 roots, up to l = 16 gaps
     pytest.importorskip("mpmath")
-    from conftest import random_band_set
     rng = np.random.default_rng(16)
     for ell in (0, 1, 3, 7, 12, 16):
         e = random_band_set(rng, ell)
@@ -149,7 +149,6 @@ def test_live_energy_oracle_two_band():
 
 def test_live_energy_oracle_random_three_band():
     rng = np.random.default_rng(31)
-    from conftest import random_band_set
     e = random_band_set(rng, 2)
     eq = fg.solve_equilibrium(e)
     bands = [list(b) for b in e.bands]
@@ -179,6 +178,35 @@ def test_density_domain_errors(eq_twoband):
         fg.equilibrium_density(eq_twoband, 0.0)
     with pytest.raises(DomainError):
         fg.equilibrium_density(eq_twoband, 1.0)  # endpoint
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 4, 8])
+def test_density_array_bit_identical_to_scalar_route(ell):
+    # interior grids and points 1e-12 from every edge, shuffled across the
+    # bands and shaped 2-D: each element equals the scalar route bit for bit
+    e = random_band_set(np.random.default_rng(100 + ell), ell)
+    eq = fg.solve_equilibrium(e)
+    x = np.concatenate([np.r_[a + 1e-12, np.linspace(a, b, 19)[1:-1], b - 1e-12]
+                        for a, b in e.bands])
+    x = np.random.default_rng(ell).permutation(x).reshape(-1, 1)
+    w = fg.equilibrium_density(eq, x)
+    assert w.shape == x.shape
+    want = np.array([[oracles.equilibrium_density_plain(eq, float(t))] for t in x[:, 0]])
+    assert w.tobytes() == want.tobytes()
+    got = np.array([[fg.equilibrium_density(eq, float(t))] for t in x[:, 0]])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_density_array_domain_errors(eq_twoband):
+    inside = [-1.5, 1.2, 1.9]
+    for bad in (0.0, -2.0, -1.0, 1.0, 2.0, 3.0, -np.inf, np.inf, np.nan):
+        with pytest.raises(DomainError, match=f"^{bad} is not interior"):
+            fg.equilibrium_density(eq_twoband, np.array(inside + [bad]))
+    w = fg.equilibrium_density(eq_twoband, 1.5)
+    assert type(w) is float
+    assert type(fg.equilibrium_density(eq_twoband, np.float64(1.5))) is float
+    assert fg.equilibrium_density(eq_twoband, np.array(1.5)) == w
+    assert fg.equilibrium_density(eq_twoband, np.empty(0)).shape == (0,)
 
 
 def test_density_integrates_to_one(eq_twoband):
@@ -267,7 +295,6 @@ def test_affine_covariance():
 def test_equilibrium_runtime():
     import time
     rng = np.random.default_rng(11)
-    from conftest import random_band_set
     for n_gaps in (0, 1, 2, 3):
         e = random_band_set(rng, n_gaps)
         t0 = time.perf_counter()
@@ -354,7 +381,6 @@ def test_gap_conditions_hold(eq_twoband):
     # against the 30-digit oracle: seeded sets with
     # l = 1..8, a near-touching pair of bands and a very short band
     pytest.importorskip("mpmath")
-    from conftest import random_band_set
     rng = np.random.default_rng(8)
     sets = [random_band_set(rng, ell) for ell in range(1, 9)]
     sets += [fg.make_band_set([-2, -1, -0.999, 1, 1.5, 2]),

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import finitegap as fg
 from finitegap import cli
 from finitegap.cli import main
+
+import oracles
 
 
 def run(tmp_path, command, config=None, extra=()):
@@ -192,3 +195,89 @@ def test_documented_global_flags_match_parser():
     for doc in (cli.__doc__, readme):
         line = next(ln for ln in doc.splitlines() if ln.startswith("Global flags:"))
         assert set(re.findall(r"--[a-z-]+", line)) == flags
+
+
+# ---------------------------------------------------------------------------
+# bulk output path: row templates, array densities, one parser per process
+
+S5 = float(np.sqrt(5))
+P2 = [[-S5, -1.0], [1.0, S5]]
+TORUS = {"bands": P2, "dirichlet": [{"gamma": 0.0, "sheet": -1}], "n": 24}
+RAND = {"kind": "random", "seed": 43, "rate": 1.5, "amplitude": 0.5}
+# every command once, in an order where report sees the others' JSON
+ALL_COMMANDS = [
+    ("eqm", {"bands": [[-2, -1], [1, 2]], "grid_points": 32}),
+    ("torus", TORUS),
+    ("oprl", {"jacobi": {"torus": TORUS}, "z": [3.0, [0.0, 1.0], [-2.5, 0.5]],
+              "n": 64}),
+    ("perturb", {"base": "free", "perturbation": {**RAND, "target": "both"},
+                 "n": 256}),
+    ("sumrule", {"experiment": "lt_free", "perturbation": {**RAND, "target": "b"},
+                 "n_trunc": 400}),
+    ("sumrule", {"experiment": "cesaro", "bands": [[-2, 2]],
+                 "jacobi": {"head_a": [1.0, 1.0], "head_b": [0.5, -0.25],
+                            "tail": {"kind": "free"}}, "M": 8}),
+    ("distance", {"bands": P2, "jacobi": {"torus": TORUS}, "m": 2,
+                  "grid_per_gap": 4}),
+    ("report", None),
+]
+
+
+def _run_all(out, extra=()):
+    out.mkdir()
+    for i, (command, config) in enumerate(ALL_COMMANDS):
+        argv = [command, "--out", str(out), *extra]
+        if config is not None:
+            cfg = out.parent / f"{out.name}-{i}.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0, command
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_row_templates_match_per_cell_writer(tmp_path, monkeypatch):
+    got = _run_all(tmp_path / "templates", ["--quiet"])
+    monkeypatch.setattr(cli, "_write_csv", oracles.write_csv_plain)
+    want = _run_all(tmp_path / "per_cell", ["--quiet"])
+    assert sorted(n for n in got if n.endswith(".csv")) == [
+        "cesaro_dm.csv", "eqm_grid.csv", "oprl.csv", "perturb_coeffs.csv",
+        "summary.csv", "torus_coeffs.csv"]
+    assert got == want
+
+
+def test_row_template_edge_cells(tmp_path):
+    rows = [("s", 1, -0.0, 1e-310, np.inf, -np.inf),
+            ("t,u", np.int64(-7), np.nan, np.float64(0.1), np.float64(-0.0),
+             np.float64(1e-310)),
+            ("", 0, 5e-324, 1.7976931348623157e308, 1 / 3, np.float64(np.nan))]
+    template = "%s,%d,%.17g,%.17g,%.17g,%.17g"
+    cli._write_csv(tmp_path, "lib.csv", list("abcdef"), template, rows, {})
+    oracles.write_csv_plain(tmp_path, "plain.csv", list("abcdef"), template, rows, {})
+    text = (tmp_path / "lib.csv").read_text()
+    assert text == (tmp_path / "plain.csv").read_text()
+    assert text.splitlines()[2:] == [
+        "s,1,-0,9.9999999999999694e-311,inf,-inf",
+        "t,u,-7,nan,0.10000000000000001,-0,9.9999999999999694e-311",
+        ",0,4.9406564584124654e-324,1.7976931348623157e+308,0.33333333333333331,nan"]
+
+
+def test_eqm_density_column_matches_scalar_route(tmp_path):
+    run(tmp_path, "eqm", {"bands": [[-2, -1], [0.5, 2]], "grid_points": 16})
+    eq = fg.solve_equilibrium(fg.make_band_set([-2, -1, 0.5, 2]))
+    rows = (tmp_path / "eqm_grid.csv").read_text().splitlines()[2:]
+    assert len(rows) == 32
+    for row in rows:
+        x, w = (float(v) for v in row.split(",")[:2])
+        assert w == oracles.equilibrium_density_plain(eq, x)
+
+
+def test_main_reuses_parser_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "eqm.json"
+    cfg.write_text(json.dumps({"bands": [[-2, -1], [1, 2]], "grid_points": 8}))
+    outs = [tmp_path / "quiet", tmp_path / "loud"]
+    assert main(["eqm", "--out", str(outs[0]), "--config", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["eqm", "--out", str(outs[1]), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("capacity ")
+    files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+    assert files[0] == files[1] and len(files[0]) == 2

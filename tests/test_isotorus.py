@@ -49,6 +49,38 @@ def test_dirichlet_from_angles_hits_edges(period2_set):
 # minimal Herglotz functions
 
 
+def _herglotz_bytes(build, e, dd):
+    """(S_coeffs, c, pole_weights) as bytes, or the exception's type and text."""
+    try:
+        mh = build(e, dd)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (mh.S_coeffs.tobytes(), np.float64(mh.c).tobytes(),
+            mh.pole_weights.tobytes())
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 4, 6, 8, 12, 16])
+def test_minimal_herglotz_bit_identical_to_array_oracle(ell):
+    # interior gammas on the drawn sheets and on all +1 sheets (a pole weight
+    # in every gap), every gamma on a gap edge, and edges mixed with interior
+    # points; unvalidated data with gammas inside the bands (R < 0) and with
+    # one point too many must raise the oracle's errors
+    for s in range(6):
+        e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
+        dd = fg.random_dirichlet(e, np.random.default_rng(s))
+        edges = fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi)
+        mixed = fg.DirichletData(
+            tuple(g if j % 2 else edges.gammas[j] for j, g in enumerate(dd.gammas)),
+            dd.sheets)
+        in_bands = fg.DirichletData(tuple(e.midpoints[:ell].tolist()), dd.sheets)
+        too_many = fg.DirichletData(dd.gammas + (0.0,), dd.sheets + (1,))
+        for d in (dd, fg.DirichletData(dd.gammas, (1,) * ell), edges, mixed,
+                  in_bands, too_many):
+            assert (_herglotz_bytes(fg.minimal_herglotz, e, d)
+                    == _herglotz_bytes(oracles.minimal_herglotz_plain, e, d)), (ell, s, d)
+
+
+
 def test_free_case_closed_form():
     mh = fg.minimal_herglotz(E2, fg.DirichletData((), ()))
     for z in (3.0, 1j, -2.5 + 0.1j):

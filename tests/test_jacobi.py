@@ -562,6 +562,27 @@ def test_stieltjes_kernel_breaks_down_loudly():
         _stieltjes(x, w, 5)
 
 
+def test_stieltjes_kernel_needs_n_plus_one_support_points():
+    # weight on 3 of 10 nodes: a_3 vanishes in exact arithmetic, and past it
+    # the recursion would run on rounding noise (a_3 = 1.4e-16, then
+    # a_4 = 0.57, a_5 = 0.28)
+    x = np.linspace(-1.0, 1.0, 10)
+    w = np.zeros(10)
+    w[[1, 4, 8]] = 1.0
+    with pytest.raises(AccuracyError, match="broke down at step 3: 3 nodes carry "
+                       "positive weight, 6 needed"):
+        _stieltjes(x, w, 5)
+    a, b = _stieltjes(x, w, 2)
+    ar, br = oracles.stieltjes_plain(x, w, 2)
+    assert max(np.abs(a - ar).max(), np.abs(b - br).max()) <= 1e-15
+    # N + 1 support points are enough, N are not
+    w[[0, 6, 9]] = 0.5
+    assert _stieltjes(x, w, 5)[0][-1] > 0.1
+    w[9] = 0.0
+    with pytest.raises(AccuracyError, match="broke down at step 5: 5 nodes"):
+        _stieltjes(x, w, 5)
+
+
 def test_strip_rejects_negative_discretized_weight():
     # a truncated cosine series that dips below zero near theta = pi
     c = np.array([1.0, 1.2]) / np.pi
