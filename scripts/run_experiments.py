@@ -44,9 +44,8 @@ def main():
     print("== equilibrium data ==")
     for name, e in sets.items():
         eq = fg.solve_equilibrium(e)
-        doc = json.loads(eq.to_json())
-        doc["bands"] = [list(b) for b in e.bands]
-        doc["rational_period"] = fg.rational_harmonic_period(eq.harmonic_measures)
+        doc = {"bands": e.to_json(), **eq.to_json(),
+               "rational_period": fg.rational_harmonic_period(eq.harmonic_measures)}
         (out / f"eqm_{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
         print(f"  {name}: capacity {eq.capacity:.10f}, "
               f"harmonic {np.round(eq.harmonic_measures, 6)}")
@@ -92,7 +91,8 @@ def main():
         e2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
     rep3 = fg.three_condition_experiment(e2, mu, n_strip=128 if args.quick else 512,
                                          n_trunc=512 if args.quick else 2048)
-    (out / "three_condition.json").write_text(rep3.to_json() + "\n")
+    (out / "three_condition.json").write_text(
+        json.dumps(rep3.to_json(), sort_keys=True) + "\n")
     print(f"  verdicts: {rep3.verdicts}")
 
     print("== Cesaro decay toward the torus ==")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import json
 import math
 
 import numpy as np
@@ -123,12 +122,11 @@ class FiniteGapSet:
     def contains(self, x: float) -> bool:
         return self.band_index(x) is not None
 
-    def to_json(self) -> str:
-        return json.dumps([[a, b] for a, b in self.bands])
+    def to_json(self) -> list:
+        return [[a, b] for a, b in self.bands]
 
     @classmethod
-    def from_json(cls, text: str) -> "FiniteGapSet":
-        pairs = json.loads(text)
+    def from_json(cls, pairs) -> "FiniteGapSet":
         return make_band_set([x for pair in pairs for x in pair])
 
 
@@ -187,14 +185,12 @@ class EquilibriumData:
         """h_j(theta) = |Q| / (pi sqrt(|P_j|)); smooth in cos(theta)."""
         return _eq_theta_density(self.set, self.gap_zeros, j, theta)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "gap_zeros": list(self.gap_zeros),
-            "robin_constant": self.robin_constant,
-            "capacity": self.capacity,
-            "harmonic_measures": list(self.harmonic_measures),
-            "node_counts": self.node_counts,
-        })
+    def to_json(self) -> dict:
+        return {"gap_zeros": self.gap_zeros.tolist(),
+                "robin_constant": self.robin_constant,
+                "capacity": self.capacity,
+                "harmonic_measures": self.harmonic_measures.tolist(),
+                "node_counts": self.node_counts}
 
 
 def _gap_condition_solve(e: FiniteGapSet, n_max: int):

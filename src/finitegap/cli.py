@@ -14,6 +14,10 @@ Output works in bulk: each CSV row is one %-template that the command states
 filled from Python scalars that .tolist() and zip give; eqm evaluates the
 density once per band on the whole grid.  main parses with one module-level
 parser, built once per process.
+
+JSON payloads are built from the objects' own to_json() values; only
+_write_json makes text.  Sizes are integers >= 1 (oprl's n >= 0), checked by
+_size before any file is written; a bad size or jacobi spec exits 2.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandset import (equilibrium_density, make_band_set, potential,
+from .bandset import (FiniteGapSet, equilibrium_density, potential,
                       rational_harmonic_period, solve_equilibrium)
 from .errors import AccuracyError, DomainError, FiniteGapError, MeasureError
 from .isotorus import DirichletData, dirichlet_data, dist_to_torus, torus_jacobi
@@ -72,16 +76,7 @@ def _load_config(args) -> dict:
 def _write_json(out: Path, name: str, payload: dict, config: dict):
     doc = {"tool": "finitegap", "version": __version__,
            "config_sha256": _config_hash(config), **payload}
-    (out / name).write_text(json.dumps(doc, sort_keys=True, default=_json_default)
-                            + "\n")
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"cannot serialize {type(o)}")
+    (out / name).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _write_csv(out: Path, name: str, header: list, template: str, rows,
@@ -93,11 +88,19 @@ def _write_csv(out: Path, name: str, header: list, template: str, rows,
     (out / name).write_text("\n".join(lines) + "\n")
 
 
+def _size(config: dict, key: str, default: int, least: int = 1) -> int:
+    """config[key], which must be an integer of at least `least`."""
+    n = config.get(key, default)
+    if type(n) is not int or n < least:
+        raise CliError(2, f"{key} must be an integer >= {least}, got {n!r}")
+    return n
+
+
 def _bands_from_config(config: dict):
     if "bands" not in config:
         raise CliError(2, "config needs a 'bands' key: [[a1,b1],...]")
     try:
-        return make_band_set([x for pair in config["bands"] for x in pair])
+        return FiniteGapSet.from_json(config["bands"])
     except (FiniteGapError, TypeError) as exc:
         raise CliError(2, f"invalid band set: {exc}") from exc
 
@@ -112,19 +115,19 @@ def _jacobi_from_config(spec):
         path = Path(spec["path"])
         if not path.exists():
             raise CliError(3, f"jacobi file {path} does not exist")
-        return JacobiParams.from_json(path.read_text())
-    if "torus" in spec:
+        spec = json.loads(path.read_text())
+    elif "torus" in spec:
         t = spec["torus"]
         _check_keys(t, {"bands", "dirichlet", "n"}, "torus spec")
         e = _bands_from_config(t)
         dd = _dirichlet_from_config(e, t.get("dirichlet", []))
-        return torus_jacobi(e, dd, int(t.get("n", 64))).params
-    if "head_a" in spec:
-        try:
-            return JacobiParams.from_json(json.dumps(spec))
-        except ValueError as exc:
-            raise CliError(2, f"bad jacobi spec: {exc}") from exc
-    raise CliError(2, f"cannot interpret jacobi spec {spec!r}")
+        return torus_jacobi(e, dd, _size(t, "n", 64)).params
+    elif "head_a" not in spec:
+        raise CliError(2, f"cannot interpret jacobi spec {spec!r}")
+    try:
+        return JacobiParams.from_json(spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(2, f"bad jacobi spec: {exc!r}") from exc
 
 
 def _dirichlet_from_config(e, items) -> DirichletData:
@@ -134,7 +137,7 @@ def _dirichlet_from_config(e, items) -> DirichletData:
         raise CliError(2, f"invalid dirichlet data: {exc}") from exc
 
 
-def _measure_from_config(e, spec: dict, eq=None) -> SpectralMeasure:
+def _measure_from_config(e, spec: dict) -> SpectralMeasure:
     _check_keys(spec, {"base", "atoms", "dead_band"}, "measure spec")
     base = spec.get("base", "equilibrium")
     atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
@@ -142,8 +145,7 @@ def _measure_from_config(e, spec: dict, eq=None) -> SpectralMeasure:
     if atom_mass >= 1.0:
         raise CliError(2, "atom weights must total < 1")
     if base == "equilibrium":
-        eq = eq if eq is not None else solve_equilibrium(e)
-        band = equilibrium_measure(eq)
+        band = equilibrium_measure(solve_equilibrium(e))
     elif base == "semicircle":
         band = semicircle_measure()
     elif base == "arcsine":
@@ -173,19 +175,13 @@ def _measure_from_config(e, spec: dict, eq=None) -> SpectralMeasure:
 def cmd_eqm(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "grid_points"}, "eqm config")
     e = _bands_from_config(config)
+    gp = _size(config, "grid_points", 64)
     try:
         eq = solve_equilibrium(e)
     except AccuracyError as exc:
         raise CliError(1, f"equilibrium solve failed: {exc}") from exc
-    period = rational_harmonic_period(eq.harmonic_measures)
-    payload = {"bands": [list(b) for b in e.bands],
-               "gap_zeros": list(eq.gap_zeros),
-               "robin_constant": eq.robin_constant,
-               "capacity": eq.capacity,
-               "harmonic_measures": list(eq.harmonic_measures),
-               "node_counts": eq.node_counts,
-               "rational_period": period}
-    gp = int(config.get("grid_points", 64))
+    payload = {"bands": e.to_json(), **eq.to_json(),
+               "rational_period": rational_harmonic_period(eq.harmonic_measures)}
     rows = []
     for j in range(e.n_bands):
         a, b = e.bands[j]
@@ -207,13 +203,11 @@ def cmd_torus(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "dirichlet", "n"}, "torus config")
     e = _bands_from_config(config)
     dd = _dirichlet_from_config(e, config.get("dirichlet", []))
-    n = int(config.get("n", 64))
+    n = _size(config, "n", 64)
     tp = torus_jacobi(e, dd, n)
     a, b = tp.params.coeffs(n)
-    payload = {"bands": [list(x) for x in e.bands],
-               "dirichlet": [{"gamma": g, "sheet": s}
-                             for g, s in zip(dd.gammas, dd.sheets)],
-               "pole_weights": list(tp.herglotz.pole_weights),
+    payload = {"bands": e.to_json(), "dirichlet": dd.to_json(),
+               "pole_weights": tp.herglotz.pole_weights.tolist(),
                "scale_c": tp.herglotz.c,
                "measure_mass": tp.measure.total_mass(),
                "n": n}
@@ -230,7 +224,7 @@ def cmd_oprl(config: dict, args, out: Path) -> int:
     J = _jacobi_from_config(config.get("jacobi", "free"))
     zs = np.array([complex(zspec[0], zspec[1]) if isinstance(zspec, (list, tuple))
                    else complex(float(zspec), 0.0) for zspec in config.get("z", [3.0])])
-    n = int(config.get("n", 32))
+    n = _size(config, "n", 32, least=0)
     vals = oprl_eval(J, n, zs)
     rows = [(z.real, z.imag, k, v.real, v.imag)
             for z, col in zip(zs.tolist(), vals.T.tolist()) for k, v in enumerate(col)]
@@ -250,7 +244,7 @@ def cmd_perturb(config: dict, args, out: Path) -> int:
     _check_keys(config, {"base", "perturbation", "n"}, "perturb config")
     base = _jacobi_from_config(config.get("base", "free"))
     spec = _perturbation_from_config(config.get("perturbation", {}))
-    n = int(config.get("n", 64))
+    n = _size(config, "n", 64)
     try:
         J = apply_perturbation(base, spec, n)
     except ValueError as exc:
@@ -274,11 +268,10 @@ def cmd_distance(config: dict, args, out: Path) -> int:
     _check_keys(config, {"bands", "jacobi", "m", "grid_per_gap"}, "distance config")
     e = _bands_from_config(config)
     J = _jacobi_from_config(config.get("jacobi", "free"))
-    m = int(config.get("m", 1))
-    res = dist_to_torus(J, e, m, grid_per_gap=int(config.get("grid_per_gap", 16)))
-    payload = json.loads(res.to_json())
-    payload["bands"] = [list(x) for x in e.bands]
-    _write_json(out, "distance.json", payload, config)
+    m = _size(config, "m", 1)
+    res = dist_to_torus(J, e, m, grid_per_gap=_size(config, "grid_per_gap", 16))
+    _write_json(out, "distance.json", {**res.to_json(), "bands": e.to_json()},
+                config)
     if not args.quiet:
         print(f"d_{m}(J, torus) <= {res.value:.6g}")
     return 0
@@ -294,7 +287,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
     rc = 0
     if exp == "lt_free":
         spec = _perturbation_from_config(config.get("perturbation", {}))
-        res = lt_free_bound(spec, n_trunc=int(config.get("n_trunc", 2000)))
+        res = lt_free_bound(spec, n_trunc=_size(config, "n_trunc", 2000))
         payload = {"experiment": exp, "result": res.to_json(), "seed": seed,
                    "verdict": bool(res.holds)}
         _write_json(out, "sumrule_lt_free.json", payload, config)
@@ -305,15 +298,14 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         mu = _measure_from_config(e, config.get("measure", {}))
         rep = three_condition_experiment(
             e, mu, which_two=tuple(config.get("which_two", ["a", "b"])),
-            n_strip=int(config.get("n_strip", 256)),
-            n_trunc=int(config.get("n_trunc", 1024)))
-        doc = json.loads(rep.to_json())
-        doc["experiment"] = exp
-        _write_json(out, "sumrule_three_condition.json", doc, config)
+            n_strip=_size(config, "n_strip", 256),
+            n_trunc=_size(config, "n_trunc", 1024))
+        _write_json(out, "sumrule_three_condition.json",
+                    {**rep.to_json(), "experiment": exp}, config)
     elif exp == "cesaro":
         e = _bands_from_config(config)
         base = _jacobi_from_config(config.get("jacobi", "free"))
-        M = int(config.get("M", 100))
+        M = _size(config, "M", 100)
         if "perturbation" in config:
             spec = _perturbation_from_config(config["perturbation"])
             base = apply_perturbation(base, spec, M + 64)
@@ -324,6 +316,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
                    zip(range(1, M + 1), dms.tolist()), config)
     elif exp == "oscillatory":
         e = _bands_from_config(config)
+        N = _size(config, "n", 1 << 14)
         eq = solve_equilibrium(e)
         omega = eq.harmonic_measures[:-1]  # independent frequencies
         spec = oscillatory_spec(omega, config.get("k_vector", [1] * max(e.ell, 1)),
@@ -332,7 +325,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         rep = twisted_sum_report(spec, omega,
                                  [np.asarray(k) for k in
                                   config.get("k_list", [[0], [1], [2]])],
-                                 N=int(config.get("n", 1 << 14)))
+                                 N=N)
         payload = {"experiment": exp,
                    "per_k": {str(k): v for k, v in rep["per_k"].items()},
                    "sup_growth": rep["sup_growth"], "N": rep["N"]}

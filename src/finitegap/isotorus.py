@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import itertools
-import json
 import math
 import threading
 
@@ -52,13 +51,11 @@ class DirichletData:
     def __len__(self):
         return len(self.gammas)
 
-    def to_json(self) -> str:
-        return json.dumps([{"gamma": g, "sheet": s}
-                           for g, s in zip(self.gammas, self.sheets)])
+    def to_json(self) -> list:
+        return [{"gamma": g, "sheet": s} for g, s in zip(self.gammas, self.sheets)]
 
     @classmethod
-    def from_json(cls, text: str) -> "DirichletData":
-        items = json.loads(text)
+    def from_json(cls, items) -> "DirichletData":
         return cls(tuple(float(d["gamma"]) for d in items),
                    tuple(int(d["sheet"]) for d in items))
 
@@ -410,15 +407,10 @@ class TorusDistance:
     grid_per_gap: int
     dd_tol: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "dirichlet": [{"gamma": g, "sheet": s}
-                          for g, s in zip(self.dirichlet.gammas, self.dirichlet.sheets)],
-            "m": self.m,
-            "grid_per_gap": self.grid_per_gap,
-            "dd_tol": self.dd_tol,
-        })
+    def to_json(self) -> dict:
+        return {"value": self.value, "dirichlet": self.dirichlet.to_json(),
+                "m": self.m, "grid_per_gap": self.grid_per_gap,
+                "dd_tol": self.dd_tol}
 
 
 def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,

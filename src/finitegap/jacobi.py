@@ -13,7 +13,6 @@ masses off the bands.  Singular continuous parts are not representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 import math
 import threading
 
@@ -57,7 +56,7 @@ class PeriodicTail:
         return self.a[idx], self.b[idx]
 
     def to_json(self):
-        return {"kind": "periodic", "a": list(self.a), "b": list(self.b)}
+        return {"kind": "periodic", "a": self.a.tolist(), "b": self.b.tolist()}
 
 
 class ExtendTail:
@@ -134,13 +133,12 @@ class JacobiParams:
         ta, tb = self.tail.range_coeffs(n - self.head_len - 1, 1)
         return float(ta[0]), float(tb[0])
 
-    def to_json(self) -> str:
-        return json.dumps({"head_a": list(self.head_a), "head_b": list(self.head_b),
-                           "tail": self.tail.to_json()})
+    def to_json(self) -> dict:
+        return {"head_a": self.head_a.tolist(), "head_b": self.head_b.tolist(),
+                "tail": self.tail.to_json()}
 
     @classmethod
-    def from_json(cls, text: str) -> "JacobiParams":
-        d = json.loads(text)
+    def from_json(cls, d: dict) -> "JacobiParams":
         tail_d = d.get("tail", {"kind": "free"})
         if tail_d["kind"] == "free":
             tail = FreeTail()
@@ -391,18 +389,15 @@ class SpectralMeasure:
                                          lambda j, th: self._theta_fn(j, th) / m),
                                validate=False)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "bands": [[a, b] for a, b in self.set.bands],
-            "density_coeffs": [list(c) for c in self.band_coeffs],
-            "point_masses": [[x, w] for x, w in self.point_masses],
-        })
+    def to_json(self) -> dict:
+        return {"bands": self.set.to_json(),
+                "density_coeffs": [c.tolist() for c in self.band_coeffs],
+                "point_masses": [[x, w] for x, w in self.point_masses]}
 
     @classmethod
-    def from_json(cls, text: str) -> "SpectralMeasure":
-        d = json.loads(text)
-        e = make_band_set([x for pair in d["bands"] for x in pair])
-        return cls(e, [np.asarray(c, float) for c in d["density_coeffs"]],
+    def from_json(cls, d: dict) -> "SpectralMeasure":
+        return cls(FiniteGapSet.from_json(d["bands"]),
+                   [np.asarray(c, float) for c in d["density_coeffs"]],
                    [(x, w) for x, w in d["point_masses"]])
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import functools
 import itertools
-import json
 import math
 import warnings
 
@@ -58,11 +57,16 @@ def _powers(rate: float, N: int) -> np.ndarray:
 
 
 class _Kind:
-    """delta(n) for any indices n >= 1, gathered from the kind's head."""
+    """delta(n) for any indices n >= 1, gathered from the kind's head.  Its
+    attributes are exactly its constructor arguments, so its JSON value is
+    its name plus vars(self), and from_json passes them back by keyword."""
 
     def delta(self, n) -> np.ndarray:
         n = _indices(n)
         return np.take(self.head(int(n.max(initial=0))), n - 1)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **vars(self)}
 
 
 def _indices(n) -> np.ndarray:
@@ -82,6 +86,8 @@ def _head(kind, N: int) -> np.ndarray:
 class L1Decay(_Kind):
     """delta_n = amplitude * n^(-rate) with rate > 1 (summable)."""
 
+    kind = "l1"
+
     def __init__(self, rate: float, amplitude: float):
         if rate <= 1:
             raise ValueError("L1 decay needs rate > 1")
@@ -95,12 +101,11 @@ class L1Decay(_Kind):
         """sum_{n > n0} |delta_n| <= |amp| * n0^(1-rate)/(rate-1)."""
         return abs(self.amplitude) * n0 ** (1 - self.rate) / (self.rate - 1)
 
-    def to_json(self):
-        return {"kind": "l1", "rate": self.rate, "amplitude": self.amplitude}
-
 
 class SlowDecay(_Kind):
     """delta_n = amplitude * n^(-rate), 1/2 < rate <= 1: l^2 but not l^1."""
+
+    kind = "slow"
 
     def __init__(self, rate: float, amplitude: float):
         if not 0.5 < rate <= 1:
@@ -111,12 +116,11 @@ class SlowDecay(_Kind):
     def head(self, N: int) -> np.ndarray:
         return _powers(self.rate, N) * self.amplitude
 
-    def to_json(self):
-        return {"kind": "slow", "rate": self.rate, "amplitude": self.amplitude}
-
 
 class SingleSite(_Kind):
     """A single coefficient bumped at one index."""
+
+    kind = "single_site"
 
     def __init__(self, index: int, value: float):
         if index < 1:
@@ -137,12 +141,11 @@ class SingleSite(_Kind):
     def abs_tail_bound(self, n0: int) -> float:
         return abs(self.value) if n0 < self.index else 0.0
 
-    def to_json(self):
-        return {"kind": "single_site", "index": self.index, "value": self.value}
-
 
 class Oscillatory(_Kind):
     """delta_n = amplitude * cos(2 pi theta n + phase) / n^decay, 1/2 < decay <= 1."""
+
+    kind = "oscillatory"
 
     def __init__(self, theta: float, amplitude: float, decay: float,
                  phase: float = 0.0):
@@ -158,14 +161,11 @@ class Oscillatory(_Kind):
         return self.amplitude * np.cos(2 * np.pi * self.theta * n + self.phase) \
             / n ** self.decay
 
-    def to_json(self):
-        return {"kind": "oscillatory", "theta": self.theta,
-                "amplitude": self.amplitude, "decay": self.decay,
-                "phase": self.phase}
-
 
 class RandomDecay(_Kind):
     """delta_n = amplitude * U_n * n^(-rate), U_n ~ Uniform(-1,1), seeded."""
+
+    kind = "random"
 
     def __init__(self, seed: int, rate: float, amplitude: float):
         if rate <= 1:
@@ -187,13 +187,9 @@ class RandomDecay(_Kind):
     def abs_tail_bound(self, n0: int) -> float:
         return abs(self.amplitude) * n0 ** (1 - self.rate) / (self.rate - 1)
 
-    def to_json(self):
-        return {"kind": "random", "seed": self.seed, "rate": self.rate,
-                "amplitude": self.amplitude}
 
-
-_KINDS = {"l1": L1Decay, "slow": SlowDecay, "single_site": SingleSite,
-          "oscillatory": Oscillatory, "random": RandomDecay}
+_KINDS = {k.kind: k for k in (L1Decay, SlowDecay, SingleSite, Oscillatory,
+                              RandomDecay)}
 
 
 @dataclass(frozen=True)
@@ -561,13 +557,14 @@ def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
     return (avg, dms) if return_sequence else avg
 
 
-def run_experiments(jobs, out_dir=None, workers: int = 4) -> dict:
+def run_experiments(jobs, workers: int = 4) -> dict:
     """Run independent experiment jobs on a thread pool and collect them.
 
     jobs maps a key (e.g. (config-name, seed)) to a zero-argument callable
-    returning a report object.  Each job is internally deterministic and
-    sequential; results are collected, and optionally written, by this single
-    caller thread.
+    returning a report object; the result maps each key to its report.  Each
+    job is internally deterministic and sequential; results are collected by
+    this single caller thread.  Writing them is the caller's business: a
+    report's to_json() gives its JSON value.
 
     Jobs that spend most of their time in numpy and LAPACK, which release the
     interpreter lock, run in parallel: 400 lt_free_bound jobs at N = 2000
@@ -575,23 +572,11 @@ def run_experiments(jobs, out_dir=None, workers: int = 4) -> dict:
     one worker and 0.69-0.76 s with two.  Jobs in pure Python gain nothing.
     """
     from concurrent.futures import ThreadPoolExecutor
-    from pathlib import Path
 
     keys = list(jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {k: pool.submit(jobs[k]) for k in keys}
-        results = {k: futures[k].result() for k in keys}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for k in keys:
-            rep = results[k]
-            name = "_".join(str(part) for part in np.atleast_1d(k))
-            payload = rep.to_json() if hasattr(rep, "to_json") else rep
-            if not isinstance(payload, str):
-                payload = json.dumps(payload, sort_keys=True)
-            (out / f"experiment_{name}.json").write_text(payload + "\n")
-    return results
+        return {k: futures[k].result() for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -611,20 +596,9 @@ class ExperimentReport:
     def add(self, key: str, value, **params):
         self.quantities[key] = {"value": value, "params": params}
 
-    def to_json(self) -> str:
-        def default(o):
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if hasattr(o, "to_json"):
-                return json.loads(o.to_json()) if isinstance(o.to_json(), str) \
-                    else o.to_json()
-            raise TypeError(f"cannot serialize {type(o)}")
-        return json.dumps({"report": self.name, "inputs": self.inputs,
-                           "quantities": self.quantities,
-                           "verdicts": self.verdicts},
-                          default=default, sort_keys=True)
+    def to_json(self) -> dict:
+        return {"report": self.name, "inputs": self.inputs,
+                "quantities": self.quantities, "verdicts": self.verdicts}
 
 
 def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
@@ -642,7 +616,7 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
     """
     eq = eq if eq is not None else solve_equilibrium(e)
     rep = ExperimentReport("three_condition")
-    rep.inputs = {"bands": [list(b) for b in e.bands], "which_two": list(which_two),
+    rep.inputs = {"bands": e.to_json(), "which_two": list(which_two),
                   "n_strip": n_strip, "n_trunc": n_trunc}
 
     J = strip_coefficients(mu, n_strip, tol=strip_tol)

@@ -281,3 +281,57 @@ def test_main_reuses_parser_between_calls(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("capacity ")
     files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
     assert files[0] == files[1] and len(files[0]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input exits 2 with an error line and writes nothing
+
+
+def run_fresh(tmp_path, command, config):
+    """Run with the config beside a fresh output directory; (rc, files made)."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main([command, "--out", str(out), "--quiet", "--config", str(cfg)])
+    return rc, sorted(p.name for p in out.iterdir())
+
+
+BAD_JACOBI = {"no_head_b": {"head_a": [1.0]},
+              "periodic_tail_without_b": {
+                  "head_a": [1.0], "head_b": [0.0],
+                  "tail": {"kind": "periodic", "a": [1.0, 0.5]}}}
+
+
+@pytest.mark.parametrize("route", ["inline", "path"])
+@pytest.mark.parametrize("name", sorted(BAD_JACOBI))
+def test_malformed_jacobi_spec_exit_2(tmp_path, capsys, route, name):
+    spec = BAD_JACOBI[name]
+    if route == "path":
+        path = tmp_path / "jacobi.json"
+        path.write_text(json.dumps(spec))
+        spec = {"path": str(path)}
+    rc, files = run_fresh(tmp_path, "oprl", {"jacobi": spec})
+    assert rc == 2 and files == []
+    assert capsys.readouterr().err.startswith("error: bad jacobi spec")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("oprl", {"n": -1}),
+    ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
+                 "n": 0}),
+    ("torus", {"bands": [[-2, 2]], "n": -1}),
+    ("sumrule", {"experiment": "cesaro", "bands": [[-2, 2]], "M": 0}),
+    ("eqm", {"bands": [[-2, 2]], "grid_points": 8.5}),
+], ids=["oprl_n", "oscillatory_n", "torus_n", "cesaro_M", "eqm_float"])
+def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
+    rc, files = run_fresh(tmp_path, command, config)
+    assert rc == 2 and files == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer >=" in err
+
+
+def test_oprl_n_zero_is_valid(tmp_path):
+    rc, files = run_fresh(tmp_path, "oprl", {"n": 0, "z": [3.0]})
+    assert rc == 0 and files == ["oprl.csv"]
+    rows = (tmp_path / "out" / "oprl.csv").read_text().splitlines()[2:]
+    assert rows == ["3,0,0,1,0"]

@@ -734,16 +734,15 @@ def test_three_condition_dead_band():
     assert rep.quantities["szego_integral"]["value"] == -np.inf
 
 
-def test_run_experiments_concurrent(tmp_path):
+def test_run_experiments_concurrent():
     jobs = {
         ("lt", 0): lambda: fg.lt_free_bound(
             PerturbationSpec(RandomDecay(0, 1.6, 0.5), "b"), n_trunc=400),
         ("lt", 1): lambda: fg.lt_free_bound(
             PerturbationSpec(RandomDecay(1, 1.6, 0.5), "b"), n_trunc=400),
     }
-    results = run_experiments(jobs, out_dir=tmp_path, workers=2)
+    results = run_experiments(jobs, workers=2)
     assert all(r.holds for r in results.values())
-    assert (tmp_path / "experiment_lt_0.json").exists()
     # determinism: rerunning a job gives the same numbers
     again = run_experiments(jobs, workers=1)
     assert again[("lt", 0)].lhs == results[("lt", 0)].lhs
@@ -788,7 +787,6 @@ def test_three_condition_semicircle_plus_atom():
     assert rep.verdicts["a_finite"] and rep.verdicts["b_finite"] \
         and rep.verdicts["c_bounded"]
     assert np.isfinite(rep.quantities["szego_integral"]["value"])
-    # report JSON is serializable and carries truncation parameters
-    import json
-    doc = json.loads(rep.to_json())
+    # the report's JSON value carries truncation parameters
+    doc = rep.to_json()
     assert doc["quantities"]["a_product_range"]["params"]["n"] == 128
