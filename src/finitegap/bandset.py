@@ -119,9 +119,6 @@ class FiniteGapSet:
                 return j
         return None
 
-    def contains(self, x: float) -> bool:
-        return self.band_index(x) is not None
-
     def to_json(self) -> list:
         return [[a, b] for a, b in self.bands]
 

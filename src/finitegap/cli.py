@@ -16,8 +16,10 @@ density once per band on the whole grid.  main parses with one module-level
 parser, built once per process.
 
 JSON payloads are built from the objects' own to_json() values; only
-_write_json makes text.  Sizes are integers >= 1 (oprl's n >= 0), checked by
-_size before any file is written; a bad size or jacobi spec exits 2.
+_write_json makes text.  Config values are checked (_get, _check_keys) before
+any file is written: sizes are integers >= 1 (oprl's n >= 0), other scalars
+numbers, nested specs objects; a wrong type or range, or a bad jacobi spec,
+exits 2.
 """
 from __future__ import annotations
 
@@ -56,6 +58,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _check_keys(config: dict, allowed: set, where: str):
+    if not isinstance(config, dict):
+        raise CliError(2, f"{where} must be a JSON object, got {config!r}")
     unknown = set(config) - allowed
     if unknown:
         raise CliError(2, f"unknown config keys {sorted(unknown)} in {where}")
@@ -88,12 +92,22 @@ def _write_csv(out: Path, name: str, header: list, template: str, rows,
     (out / name).write_text("\n".join(lines) + "\n")
 
 
+def _get(config: dict, key: str, default, ok, what: str):
+    """config[key] (default if absent), which ok must accept; what names it."""
+    v = config.get(key, default)
+    if not ok(v):
+        raise CliError(2, f"{key} must be {what}, got {v!r}")
+    return v
+
+
 def _size(config: dict, key: str, default: int, least: int = 1) -> int:
-    """config[key], which must be an integer of at least `least`."""
-    n = config.get(key, default)
-    if type(n) is not int or n < least:
-        raise CliError(2, f"{key} must be an integer >= {least}, got {n!r}")
-    return n
+    return _get(config, key, default, lambda n: type(n) is int and n >= least,
+                f"an integer >= {least}")
+
+
+def _number(config: dict, key: str, default: float) -> float:
+    return float(_get(config, key, default, lambda x: type(x) in (int, float),
+                      "a number"))
 
 
 def _bands_from_config(config: dict):
@@ -112,7 +126,7 @@ def _jacobi_from_config(spec):
     if not isinstance(spec, dict):
         raise CliError(2, f"cannot interpret jacobi spec {spec!r}")
     if "path" in spec:
-        path = Path(spec["path"])
+        path = Path(_get(spec, "path", None, lambda p: isinstance(p, str), "a file name"))
         if not path.exists():
             raise CliError(3, f"jacobi file {path} does not exist")
         spec = json.loads(path.read_text())
@@ -295,9 +309,12 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
             rc = 1
     elif exp == "three_condition":
         e = _bands_from_config(config)
+        which_two = _get(config, "which_two", ["a", "b"], lambda w: w in (
+            ["a", "b"], ["a", "c"], ["b", "a"], ["b", "c"], ["c", "a"], ["c", "b"]),
+            "two of a, b, c")
         mu = _measure_from_config(e, config.get("measure", {}))
         rep = three_condition_experiment(
-            e, mu, which_two=tuple(config.get("which_two", ["a", "b"])),
+            e, mu, which_two=tuple(which_two),
             n_strip=_size(config, "n_strip", 256),
             n_trunc=_size(config, "n_trunc", 1024))
         _write_json(out, "sumrule_three_condition.json",
@@ -320,8 +337,8 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         eq = solve_equilibrium(e)
         omega = eq.harmonic_measures[:-1]  # independent frequencies
         spec = oscillatory_spec(omega, config.get("k_vector", [1] * max(e.ell, 1)),
-                                float(config.get("amplitude", 0.1)),
-                                float(config.get("decay", 1.0)))
+                                _number(config, "amplitude", 0.1),
+                                _number(config, "decay", 1.0))
         rep = twisted_sum_report(spec, omega,
                                  [np.asarray(k) for k in
                                   config.get("k_list", [[0], [1], [2]])],

@@ -16,12 +16,12 @@ The sqrt(R) branch is the single-valued one of FiniteGapSet.sqrt_R (positive
 on (b_{l+1}, inf)); its value on gap j is (-1)^(l+1-j) sqrt(|R|), which the
 pole conditions below use explicitly.
 
-Jacobi coefficients come from stripping m exactly (_StrippingTail): one step
-per coefficient, O(l^2) polynomial arithmetic and no quadrature.  The step
-runs on Python floats, because its vectors are too short for numpy calls to
-pay, and its coefficients are bit-identical to the same recursion on numpy
-arrays.  The spectral measure (torus_measure) is built only when it is
-asked for.
+Jacobi coefficients come from stripping m exactly: a _StrippingTail stepper,
+whose coefficients jacobi._Extension stores once per torus point, takes one
+O(l^2) step per coefficient with no quadrature.  The step runs on Python
+floats, because its vectors are too short for numpy calls to pay, and its
+coefficients are bit-identical to the same recursion on numpy arrays.  The
+spectral measure (torus_measure) is built only when it is asked for.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 import itertools
 import math
-import threading
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -37,7 +36,7 @@ from scipy.optimize import minimize
 
 from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
-from .jacobi import JacobiParams, ExtendTail, SpectralMeasure, \
+from .jacobi import JacobiParams, ExtendTail, SpectralMeasure, _Extension, \
     measure_from_theta_density, free_jacobi
 
 
@@ -102,12 +101,12 @@ def dirichlet_from_angles(e: FiniteGapSet, phis) -> DirichletData:
     return dirichlet_data(e, entries)
 
 
-def random_dirichlet(e: FiniteGapSet, rng, edge_margin: float = 0.05) -> DirichletData:
-    """Seeded interior Dirichlet data for tests and experiments."""
+def random_dirichlet(e: FiniteGapSet, rng) -> DirichletData:
+    """Seeded Dirichlet data, each gamma 5%..95% of the way across its gap."""
     entries = []
     for j in range(e.ell):
         beta, alpha = e.gap(j)
-        u = rng.uniform(edge_margin, 1 - edge_margin)
+        u = rng.uniform(0.05, 0.95)
         entries.append((beta + u * (alpha - beta), int(rng.choice([-1, 1]))))
     return dirichlet_data(e, entries)
 
@@ -249,15 +248,16 @@ def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:
 
 
 class _StrippingTail:
-    """Jacobi coefficients of m = c (sqrt(R) - S)/G, G = prod (z - gamma_j).
+    """Stepper for the coefficients of m = c (sqrt(R) - S)/G, G = prod (z - gamma_j).
 
     With kappa = -1/c, R - S^2 = 2 kappa G H exactly for a monic H of degree
     l, so -1/m = (sqrt(R) + S)/(2H) = z - b_1 + a_1^2 m_1, where m_1 has the
     same form with S' = 2(z - b_1)H - S, G' = H, kappa' = e_2 - s'_{l-1} and
-    a_1^2 = -kappa'/2.  The state is kept, so a longer tail continues where
-    the last one stopped.  H's leading coefficient and the top two of S are
-    reset to their exact values (1; 1, e_1) on every step: left to rounding
-    they drift until the recursion breaks down.
+    a_1^2 = -kappa'/2.  The stepper holds only the state (S, G, kappa) after
+    `have` steps; its _Extension stores the coefficients.  H's leading
+    coefficient and the top two of S are reset to their exact values (1; 1,
+    e_1) on every step: left to rounding they drift until the recursion
+    breaks down.
 
     A step runs on Python floats in lists of at most l + 2 entries, where
     numpy's per-call overhead would cost more than the arithmetic.  Its one
@@ -276,10 +276,8 @@ class _StrippingTail:
         self.kappa = -1.0 / float(mh.c)
         self.e1 = self.S[ell]
         self.e2 = self.kappa + (self.S[ell - 1] if ell else 0.0)
-        self.a, self.b = [], []
-        self._lock = threading.Lock()
 
-    def _step(self):
+    def _step(self, index: int):
         S, G = self.S, self.G
         ell = len(G) - 1
         # H = (R - S^2)/(2 kappa G): the top two coefficients cancel exactly,
@@ -298,16 +296,19 @@ class _StrippingTail:
         S += [self.e1, 1.0]
         kappa = self.e2 - (S[ell - 1] if ell else 0.0)
         if not kappa < 0:
-            raise AccuracyError(f"stripping step {len(self.a) + 1}: a^2 = {-kappa / 2}")
+            raise AccuracyError(f"stripping step {index}: a^2 = {-kappa / 2}")
         self.S, self.G, self.kappa = S, H, kappa
-        self.a.append(math.sqrt(-kappa / 2))
-        self.b.append(b)
+        return math.sqrt(-kappa / 2), b
 
-    def __call__(self, n: int):
-        with self._lock:
-            while len(self.a) < n:
-                self._step()
-            return np.array(self.a[:n]), np.array(self.b[:n])
+    def __call__(self, have: int, n: int):
+        state = self.S, self.G, self.kappa
+        try:
+            a, b = zip(*[self._step(i) for i in range(have + 1, n + 1)])
+        except AccuracyError:
+            # the caller keeps no part of a failed stretch: rewind to have
+            self.S, self.G, self.kappa = state
+            raise
+        return np.array(a), np.array(b)
 
 
 class TorusPoint:
@@ -317,7 +318,7 @@ class TorusPoint:
         self.set = e
         self.dirichlet = dd
         self.herglotz = minimal_herglotz(e, dd)
-        self._tail = _StrippingTail(self.herglotz)
+        self._coeffs = _Extension(_StrippingTail(self.herglotz))
         self.params = self.jacobi_params(n)
 
     @cached_property
@@ -328,10 +329,11 @@ class TorusPoint:
     def jacobi_params(self, n: int) -> JacobiParams:
         """Coefficients (a_1..a_n, b_1..b_n) as a JacobiParams with this head.
 
-        The tail continues the stripping recursion; nothing is extrapolated.
+        Heads share one sequence that continues the stripping recursion;
+        nothing is extrapolated.
         """
-        a, b = self._tail(n)
-        return JacobiParams(a, b, ExtendTail(self._tail, n))
+        a, b = self._coeffs(n)
+        return JacobiParams(a, b, ExtendTail(self._coeffs, n))
 
 
 def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
@@ -339,23 +341,22 @@ def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     return TorusPoint(e, dd, n=n)
 
 
-def reflectionless_residual(mh: MinimalHerglotz, points_per_band: int = 200,
-                            margin: float = 1e-6) -> float:
+def reflectionless_residual(mh: MinimalHerglotz) -> float:
     """max |Re G_00| over band-interior grids, G_00 = -1/(a0^2 (m - mhat)).
 
     m - mhat = 2c sqrt(R)/prod(z - gamma) is purely imaginary on the bands, so
     the whole-line reflectionless extension has Re G_00 = 0 there; the
-    returned residual measures how well the construction achieves it.  Grid
-    points within `margin` of a band endpoint or a gamma are excluded.
+    returned residual measures how well the construction achieves it, on
+    200 points per band, less those within 1e-6 of a band end or a gamma.
     """
     e = mh.set
     worst = 0.0
     for j in range(e.n_bands):
         a, b = e.bands[j]
-        xs = np.linspace(a + margin, b - margin, points_per_band)
+        xs = np.linspace(a + 1e-6, b - 1e-6, 200)
         keep = np.ones(len(xs), bool)
         for g in mh.dirichlet.gammas:
-            keep &= np.abs(xs - g) > margin
+            keep &= np.abs(xs - g) > 1e-6
         xs = xs[keep]
         diff = mh.m(xs) - mh.m_second_sheet(xs)
         g00 = -1.0 / diff  # a0 = 1; any a0 only rescales the residual

@@ -9,6 +9,10 @@ Spectral measures carry an absolutely continuous part on the bands, stored as
 cosine-series coefficients of the theta-density h_j (so band masses and
 Stieltjes transforms are spectral-accuracy sums), plus finitely many point
 masses off the bands.  Singular continuous parts are not representable.
+
+A JacobiParams is an explicit head plus a tail read by prefix.  Every computed
+tail (a re-strip, a torus point, a perturbation) is stored in one _Extension,
+which only appends, so a coefficient once read never changes.
 """
 from __future__ import annotations
 
@@ -30,10 +34,39 @@ from .quadrature import (adaptive_cos_coeffs, cos_series_resolved, cosine_nodes,
 # coefficient sequences
 
 
+class _Extension:
+    """The one store of a computed sequence a_n, b_n (n >= 1); it only appends,
+    so a coefficient once read never changes.  A read past the end calls
+    extend(have, n) for a and b at have + 1..m, m >= n (an extend that starts
+    over takes m = max(n, 2 have), a stepper m = n).  Each stretch is checked
+    once; the pair is one tuple of read-only arrays, set under the lock."""
+
+    def __init__(self, extend):
+        self._extend = extend
+        self._ab = (np.empty(0), np.empty(0))
+        self._lock = threading.Lock()
+
+    def __call__(self, n: int):
+        with self._lock:
+            a, b = self._ab
+            have = len(a)
+            if n > have:
+                ea, eb = self._extend(have, n)
+                ok = (ea > 0) & np.isfinite(ea) & np.isfinite(eb)
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    raise ValueError(f"a_{have + i + 1} = {ea[i]}, b_{have + i + 1} "
+                                     f"= {eb[i]}: need a > 0, both finite")
+                a, b = np.concatenate([a, ea]), np.concatenate([b, eb])
+                a.flags.writeable = b.flags.writeable = False
+                self._ab = (a, b)
+        return a[:n], b[:n]
+
+
 class FreeTail:
     """a = 1, b = 0 beyond the head."""
 
-    def range_coeffs(self, offset: int, count: int):
+    def coeffs(self, count: int):
         return np.ones(count), np.zeros(count)
 
     def to_json(self):
@@ -48,11 +81,11 @@ class PeriodicTail:
         self.b = np.asarray(b, float)
         if len(self.a) != len(self.b) or len(self.a) == 0:
             raise ValueError("periodic tail needs equal, nonzero period arrays")
-        if np.any(self.a <= 0):
-            raise ValueError("tail a-coefficients must be positive")
+        if not (np.all(self.a > 0) and np.isfinite([self.a, self.b]).all()):
+            raise ValueError("tail a-coefficients must be positive, all finite")
 
-    def range_coeffs(self, offset: int, count: int):
-        idx = (offset + np.arange(count)) % len(self.a)
+    def coeffs(self, count: int):
+        idx = np.arange(count) % len(self.a)
         return self.a[idx], self.b[idx]
 
     def to_json(self):
@@ -60,24 +93,16 @@ class PeriodicTail:
 
 
 class ExtendTail:
-    """Tail backed by a provider materializing absolute coefficients 1..N.
+    """View of a computed sequence (an _Extension) past its first head_len
+    terms; views with different heads may share one.  Not JSON serializable."""
 
-    Used for torus points (provider continues the exact stripping
-    recursion), stripped measures (re-strips at larger N by Stieltjes plus
-    RKPW, one exact-sized grid when the band series resolved) and perturbed
-    operators (applies the perturbation to the base).  Providers shared
-    between threads must publish each (a, b) pair atomically.  Not JSON
-    serializable.
-    """
-
-    def __init__(self, provider, head_len: int):
-        self.provider = provider
+    def __init__(self, cache: _Extension, head_len: int):
+        self.cache = cache
         self.head_len = head_len
 
-    def range_coeffs(self, offset: int, count: int):
-        a, b = self.provider(self.head_len + offset + count)
-        lo = self.head_len + offset
-        return a[lo:lo + count], b[lo:lo + count]
+    def coeffs(self, count: int):
+        a, b = self.cache(self.head_len + count)
+        return a[self.head_len:], b[self.head_len:]
 
     def to_json(self):
         raise ValueError("computed tails cannot be serialized")
@@ -108,16 +133,12 @@ class JacobiParams:
         return len(self.head_a)
 
     def coeffs(self, n: int):
-        """Arrays (a_1..a_n, b_1..b_n)."""
+        """Fresh arrays (a_1..a_n, b_1..b_n); each tail checks its own terms."""
         k = self.head_len
         if n <= k:
             return self.head_a[:n].copy(), self.head_b[:n].copy()
-        ta, tb = self.tail.range_coeffs(0, n - k)
-        a = np.concatenate([self.head_a, ta])
-        b = np.concatenate([self.head_b, tb])
-        if np.any(a <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-            raise ValueError("tail produced invalid coefficients")
-        return a, b
+        ta, tb = self.tail.coeffs(n - k)
+        return np.concatenate([self.head_a, ta]), np.concatenate([self.head_b, tb])
 
     def a(self, n: int) -> float:
         return self._pair(n)[0]
@@ -128,10 +149,8 @@ class JacobiParams:
     def _pair(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n <= self.head_len:
-            return float(self.head_a[n - 1]), float(self.head_b[n - 1])
-        ta, tb = self.tail.range_coeffs(n - self.head_len - 1, 1)
-        return float(ta[0]), float(tb[0])
+        a, b = self.coeffs(n)
+        return float(a[-1]), float(b[-1])
 
     def to_json(self) -> dict:
         return {"head_a": self.head_a.tolist(), "head_b": self.head_b.tolist(),
@@ -262,11 +281,6 @@ def transfer_growth(J: JacobiParams, lam: float, N: int) -> float:
     return math.exp(logmax) if logmax < 709 else math.inf
 
 
-def truncation_matrix(J: JacobiParams, N: int):
-    a, b = J.coeffs(N)
-    return b, a[:N - 1]
-
-
 def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
                                    stability_tol: float = 1e-6) -> np.ndarray:
     """Eigenvalues of the N x N truncation lying off e, stability-filtered.
@@ -295,10 +309,10 @@ def _eigenvalues_off(J: JacobiParams, e: FiniteGapSet, N: int, pad: float) -> np
     """Eigenvalues of the N x N truncation in the components of R \\ e, each
     widened by pad on both sides: (-inf, a_1 + pad], (b_j - pad, a_{j+1} + pad],
     (b_{l+1} - pad, inf].  The ends are half-open, as in stebz."""
-    d, od = truncation_matrix(J, N)
+    a, b = J.coeffs(N)
     edges = [-math.inf, *e.endpoints, math.inf]
     return np.concatenate([
-        eigh_tridiagonal(d, od, eigvals_only=True, select="v",
+        eigh_tridiagonal(b, a[:N - 1], eigvals_only=True, select="v",
                          select_range=(lo - pad, hi + pad))
         for lo, hi in zip(edges[::2], edges[1::2])])
 
@@ -317,7 +331,7 @@ class SpectralMeasure:
     """
 
     def __init__(self, e: FiniteGapSet, band_coeffs, point_masses=(),
-                 theta_fn=None, validate: bool = True, mass_tol: float = 1e-8):
+                 theta_fn=None, validate: bool = True):
         self.set = e
         self.band_coeffs = [np.asarray(c, float) for c in band_coeffs]
         pm = [(float(x), float(w)) for x, w in point_masses]
@@ -326,17 +340,17 @@ class SpectralMeasure:
         if len(self.band_coeffs) != e.n_bands:
             raise MeasureError("one coefficient array per band required")
         if validate:
-            self._validate(mass_tol)
+            self._validate()
 
-    def _validate(self, mass_tol):
+    def _validate(self):
         for x, w in self.point_masses:
             if w <= 0:
                 raise MeasureError(f"point mass weight {w} at {x} must be positive")
             if dist_to_set(self.set, x) == 0:
                 raise MeasureError(f"point mass at {x} lies on the essential spectrum")
         m = self.total_mass()
-        if abs(m - 1.0) > mass_tol:
-            raise MeasureError(f"total mass {m} is not 1 within {mass_tol:g}")
+        if abs(m - 1.0) > 1e-8:
+            raise MeasureError(f"total mass {m} is not 1 within 1e-08")
 
     def band_mass(self, j: int) -> float:
         return float(np.pi * self.band_coeffs[j][0])
@@ -381,14 +395,6 @@ class SpectralMeasure:
         """Stieltjes transform int dmu(x)/(x - z); see m_from_measure."""
         return m_from_measure(self, z)
 
-    def normalized(self) -> "SpectralMeasure":
-        m = self.total_mass()
-        return SpectralMeasure(self.set, [c / m for c in self.band_coeffs],
-                               [(x, w / m) for x, w in self.point_masses],
-                               theta_fn=(None if self._theta_fn is None else
-                                         lambda j, th: self._theta_fn(j, th) / m),
-                               validate=False)
-
     def to_json(self) -> dict:
         return {"bands": self.set.to_json(),
                 "density_coeffs": [c.tolist() for c in self.band_coeffs],
@@ -430,13 +436,14 @@ def arcsine_measure() -> SpectralMeasure:
     return measure_from_theta_density(e, lambda j, th: np.full_like(th, 1.0 / np.pi))
 
 
-def m_from_measure(mu: SpectralMeasure, z, min_dist: float = 1e-8) -> complex:
+def m_from_measure(mu: SpectralMeasure, z) -> complex:
     """m(z) = int dmu(x)/(x - z) for z off the support.
 
     Band parts are geometric series in the inverse Joukowski variable of each
     band; point masses are summed exactly.  Raises AccuracyError within
-    min_dist of the support.
+    min_dist = 1e-8 of the support.
     """
+    min_dist = 1e-8
     zv = complex(z)
     if zv.imag == 0:
         if dist_to_set(mu.set, zv.real) < min_dist:
@@ -583,29 +590,6 @@ def _stieltjes_rkpw(nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int
     return np.sqrt(beta[1:N + 1]), np.array(b[:N])
 
 
-class _StripProvider:
-    """Caching re-strip provider backing the tail of stripped parameters.
-
-    The coefficient pair is published as one tuple under a lock, so threads
-    sharing a tail never pair a new a with an old, shorter b, and only one of
-    them re-strips.
-    """
-
-    def __init__(self, mu, tol):
-        self.mu = mu
-        self.tol = tol
-        self._ab = (np.empty(0), np.empty(0))
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int):
-        with self._lock:
-            a, b = self._ab
-            if n > len(a):
-                a, b = _strip_arrays(self.mu, max(n, 2 * len(a)), self.tol)
-                self._ab = (a, b)
-        return a[:n], b[:n]
-
-
 def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> JacobiParams:
     """First N recursion coefficients of mu via discretized orthogonalization.
 
@@ -621,12 +605,13 @@ def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> Jacob
     < 2n exactly, so all inner products the first N + 1 coefficients need are
     exact for the stored density; tol is not read.  Otherwise the grid, from
     max(256, 2N + 64) up to 2^17 nodes per band, is doubled until a_n, b_n
-    (n <= N) change by less than tol.  The cached tail re-strips at larger
-    N, never extrapolates.
+    (n <= N) change by less than tol.  The cached tail re-strips at doubled
+    N and appends the new coefficients, never extrapolates.
     """
-    provider = _StripProvider(mu, tol)
-    a, b = provider(N)
-    return JacobiParams(a.copy(), b.copy(), ExtendTail(provider, N))
+    cache = _Extension(lambda have, n: [
+        x[have:] for x in _strip_arrays(mu, max(n, 2 * have), tol)])
+    a, b = cache(N)
+    return JacobiParams(a, b, ExtendTail(cache, N))
 
 
 def _strip_arrays(mu: SpectralMeasure, N: int, tol: float):

@@ -21,8 +21,8 @@ from .bandset import (EquilibriumData, FiniteGapSet, dist_to_set,
                       solve_equilibrium)
 from .errors import MeasureError
 from .isotorus import dist_to_torus, dirichlet_from_angles, torus_jacobi
-from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, free_jacobi,
-                     oprl_scaled_last, strip_coefficients,
+from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, _Extension,
+                     free_jacobi, oprl_scaled_last, strip_coefficients,
                      truncation_eigenvalues_outside)
 from .quadrature import de_quad
 
@@ -229,21 +229,19 @@ def apply_perturbation(base: JacobiParams, spec: PerturbationSpec,
                        N: int) -> JacobiParams:
     """Coefficient-wise sum J = base + delta, as a JacobiParams.
 
-    The head holds the first N coefficients; the tail keeps applying the
-    perturbation exactly at every larger index.  Raises if any perturbed a_n
-    fails to stay positive (head checked eagerly, tail on access).
+    The head holds the first N coefficients; the cached tail applies the
+    perturbation exactly at every larger index.  Raises ValueError naming the
+    first a_n that fails to stay positive (head eagerly, tail on access).
     """
 
-    def materialize(n: int):
-        a, b = base.coeffs(n)
-        da, db = spec.deltas(n)
-        return a + da, b + db
+    def extend(have: int, n: int):
+        n = max(n, 2 * have)  # each call reads the base from n = 1
+        (a, b), (da, db) = base.coeffs(n), spec.deltas(n)
+        return a[have:] + da[have:], b[have:] + db[have:]
 
-    a, b = materialize(N)
-    if np.any(a <= 0):
-        bad = int(np.argmax(a <= 0)) + 1
-        raise ValueError(f"perturbation drives a_{bad} = {a[bad - 1]} <= 0")
-    return JacobiParams(a[:N], b[:N], ExtendTail(materialize, N))
+    cache = _Extension(extend)
+    a, b = cache(N)
+    return JacobiParams(a, b, ExtendTail(cache, N))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +310,12 @@ class LtBound:
 
 
 def lt_free_bound(spec: PerturbationSpec, n_trunc: int = 2000,
-                  slack: float = 1e-6, sum_to: int = 200000) -> LtBound:
+                  sum_to: int = 200000) -> LtBound:
     """Check sum (x_n^2-4)^{1/2} <= sum|b_n| + 4 sum|a_n - 1| for free + spec.
 
     Eigenvalues come from the stability-filtered truncation solver; the right
     side is summed to `sum_to` with the generator's own tail bound added when
-    available.
+    available.  The bound holds when lhs <= rhs + 1e-6.
     """
     # One sum s of |delta_n| serves both sides: weight * s rounds 5s once, as
     # s + 4.0*s does, so rhs is the float of summing |delta b| + 4|delta a|.
@@ -330,7 +328,7 @@ def lt_free_bound(spec: PerturbationSpec, n_trunc: int = 2000,
     J = apply_perturbation(free_jacobi(), spec, n_trunc)
     evs = truncation_eigenvalues_outside(J, e2, n_trunc)
     lhs = float(sum(math.sqrt(x * x - 4.0) for x in evs))
-    return LtBound(lhs, rhs, lhs <= rhs + slack, tuple(evs))
+    return LtBound(lhs, rhs, lhs <= rhs + 1e-6, tuple(evs))
 
 
 def lt_finite_gap_constant(e: FiniteGapSet, dd, n_samples: int = 10,

@@ -284,8 +284,9 @@ class StrippingTailPlain:
     array arithmetic on whole coefficient vectors: R from polyfromroots per
     point, the full (R - S^2)/(2 kappa) and every update of the division
     (the library does the same operations on Python floats, reading only
-    what the quotient needs).  Same interface: built from a MinimalHerglotz,
-    called with n; a and b hold the coefficients made so far."""
+    what the quotient needs).  Same stepper interface: built from a
+    MinimalHerglotz, called with (have, n) for the coefficients have + 1..n,
+    holding only the state (S, G, kappa)."""
 
     def __init__(self, mh):
         ell = mh.set.ell
@@ -295,9 +296,8 @@ class StrippingTailPlain:
         self.kappa = -1.0 / mh.c
         self.e1 = self.S[ell]
         self.e2 = self.kappa + (self.S[ell - 1] if ell else 0.0)
-        self.a, self.b = [], []
 
-    def _step(self):
+    def _step(self, index):
         from finitegap.errors import AccuracyError
         ell = len(self.G) - 1
         rem = (self.R - np.convolve(self.S, self.S))[:2 * ell + 1] / (2 * self.kappa)
@@ -311,20 +311,18 @@ class StrippingTailPlain:
         S[ell:] = self.e1, 1.0
         kappa = self.e2 - (S[ell - 1] if ell else 0.0)
         if not kappa < 0:
-            raise AccuracyError(f"stripping step {len(self.a) + 1}: a^2 = {-kappa / 2}")
+            raise AccuracyError(f"stripping step {index}: a^2 = {-kappa / 2}")
         self.S, self.G, self.kappa = S, H, kappa
-        self.a.append(math.sqrt(-kappa / 2))
-        self.b.append(b)
+        return math.sqrt(-kappa / 2), b
 
-    def __call__(self, n):
-        while len(self.a) < n:
-            self._step()
-        return np.array(self.a[:n]), np.array(self.b[:n])
+    def __call__(self, have, n):
+        a, b = zip(*[self._step(i) for i in range(have + 1, n + 1)])
+        return np.array(a), np.array(b)
 
 
 def stripping_tail_plain(mh, n):
     """First n torus coefficients (a, b) of mh by the array recursion."""
-    return StrippingTailPlain(mh)(n)
+    return StrippingTailPlain(mh)(0, n)
 
 
 def minimal_herglotz_plain(e, dd):

@@ -218,9 +218,9 @@ def test_criterion_11_distance_floor_and_blindness(p2_torus):
     a, b = p2_torus.params.coeffs(80)
     b_pert = b.copy()
     b_pert[: m - 1] += 0.4
-    provider = p2_torus.params.tail.provider
-    J = fg.JacobiParams(a, b, fg.jacobi.ExtendTail(provider, 80))
-    Jp = fg.JacobiParams(a, b_pert, fg.jacobi.ExtendTail(provider, 80))
+    cache = p2_torus.params.tail.cache
+    J = fg.JacobiParams(a, b, fg.jacobi.ExtendTail(cache, 80))
+    Jp = fg.JacobiParams(a, b_pert, fg.jacobi.ExtendTail(cache, 80))
     d_clean = fg.d_m(J, p2_torus.params, m)
     d_pert = fg.d_m(Jp, p2_torus.params, m)
     assert abs(d_clean - d_pert) < 1e-10

@@ -330,6 +330,18 @@ def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
     assert err.startswith("error: ") and "must be an integer >=" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]], "amplitude": None},
+    {"experiment": "three_condition", "bands": [[-2, 2]], "which_two": 5},
+    {"experiment": "cesaro", "bands": [[-2, 2]], "jacobi": {"torus": 5}},
+], ids=["amplitude_null", "which_two_int", "torus_spec_int"])
+def test_wrong_json_type_exit_2_no_files(tmp_path, capsys, config):
+    rc, files = run_fresh(tmp_path, "sumrule", config)
+    assert rc == 2 and files == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " must be " in err and ", got " in err
+
+
 def test_oprl_n_zero_is_valid(tmp_path):
     rc, files = run_fresh(tmp_path, "oprl", {"n": 0, "z": [3.0]})
     assert rc == 0 and files == ["oprl.csv"]

@@ -296,6 +296,20 @@ def test_stripping_tail_shared_between_threads(period2_set):
         sys.setswitchinterval(old)
 
 
+def test_torus_tail_steps_only_what_is_read(period2_set, monkeypatch):
+    # d_m reads m + 31 coefficients of a candidate built with m; stepping
+    # on to 2m, as a re-strip's doubling would, is waste for large m
+    calls = []
+    step = fg.isotorus._StrippingTail.__call__
+    monkeypatch.setattr(fg.isotorus._StrippingTail, "__call__",
+                        lambda self, have, n: calls.append((have, n)) or step(self, have, n))
+    J = fg.torus_jacobi(period2_set, fg.dirichlet_data(period2_set, [(0.3, +1)]),
+                        100).params
+    for n in (131, 120, 50):
+        J.coeffs(n)
+    assert calls == [(0, 100), (100, 131)]
+
+
 def test_period2_stays_periodic_deep(period2_torus):
     a, b = period2_torus.params.coeffs(10_002)
     s5 = np.sqrt(5.0)
@@ -397,9 +411,9 @@ def test_dist_blind_below_m(period2_set, period2_torus):
     b_pert = b.copy()
     b_pert[:m - 1] += 0.3
     J = fg.JacobiParams(a, b, fg.jacobi.ExtendTail(
-        period2_torus.params.tail.provider, 60))
+        period2_torus.params.tail.cache, 60))
     Jp = fg.JacobiParams(a, b_pert, fg.jacobi.ExtendTail(
-        period2_torus.params.tail.provider, 60))
+        period2_torus.params.tail.cache, 60))
     assert abs(fg.d_m(J, Jp, m)) < 1e-10
     d1 = fg.d_m(J, period2_torus.params, m)
     d2 = fg.d_m(Jp, period2_torus.params, m)
@@ -428,18 +442,21 @@ def test_dist_two_gap_product_grid():
 
 
 def _strip_both(mh, n):
-    """(a bytes, b bytes, error message) of the library tail and of the
-    array-recursion oracle after asking each for n coefficients; a
-    breakdown keeps the coefficients made before it."""
+    """(a bytes, b bytes, error message) of the library stepper and of the
+    array-recursion oracle, each stepped one coefficient at a time up to n,
+    so a breakdown keeps the coefficients made before it."""
     out = []
     for cls in (fg.isotorus._StrippingTail, oracles.StrippingTailPlain):
-        tail = cls(mh)
+        step = cls(mh)
+        a, b, err = [], [], None
         try:
-            tail(n)
-            err = None
+            for have in range(n):
+                ak, bk = step(have, have + 1)
+                a += ak.tolist()
+                b += bk.tolist()
         except AccuracyError as exc:
             err = str(exc)
-        out.append((np.array(tail.a).tobytes(), np.array(tail.b).tobytes(), err))
+        out.append((np.array(a).tobytes(), np.array(b).tobytes(), err))
     return out
 
 
@@ -478,6 +495,20 @@ def test_stripping_breakdown_matches_array_oracle(ell, set_seed, dd_seed, step, 
     assert len(got[0]) == (step - 1) * 8
     if msg is not None:
         assert got[2] == msg
+
+
+def test_torus_breakdown_repeats_at_its_step():
+    # a failed stretch leaves the stepper where the stored sequence ends, so
+    # asking again fails at the same step with the same message
+    e = random_band_set(np.random.default_rng(12004), 12)
+    dd = fg.random_dirichlet(e, np.random.default_rng(4))
+    J = fg.torus_jacobi(e, dd, 15).params
+    for n in (30, 25):
+        with pytest.raises(AccuracyError, match="^stripping step 21: "):
+            J.coeffs(n)
+    a, b = J.coeffs(15)
+    got = _strip_both(fg.minimal_herglotz(e, dd), 15)[0]
+    assert (a.tobytes(), b.tobytes()) == got[:2]
 
 
 def test_dist_to_torus_bit_identical_with_array_oracle(monkeypatch, period2_set,

@@ -37,6 +37,14 @@ def test_periodic_tail():
     assert list(b) == [0.5, 0.0, -1.0, 0.0, -1.0, 0.0]
 
 
+@pytest.mark.parametrize("a, b", [([1.0, 0.0], [0.0, 0.0]), ([1.0], [np.nan]),
+                                  ([np.inf], [0.0])])
+def test_periodic_tail_checked_when_built(a, b):
+    # coeffs no longer checks what a tail returns, so the tail checks itself
+    with pytest.raises(ValueError, match="positive, all finite"):
+        PeriodicTail(a, b)
+
+
 def test_index_below_one_rejected():
     # n <= 0 must not index the head from its end
     J = fg.JacobiParams(np.array([2.0, 1.5]), np.array([0.5, -0.5]))

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 import sys
 import tracemalloc
 import warnings
@@ -237,6 +238,102 @@ def test_spec_json_round_trip():
         da, db = spec.deltas(50)
         da2, db2 = spec2.deltas(50)
         assert np.allclose(da, da2) and np.allclose(db, db2)
+
+
+# ---------------------------------------------------------------------------
+# computed tails: one cache per sequence, read by prefix
+
+
+def _dead_band_strip(_):
+    def theta_fn(j, th):
+        x = 2 * np.cos(th)
+        return np.where((x > 0.2) & (x < 0.8), 0.0, 2 * np.sin(th) ** 2 / np.pi)
+
+    mu = fg.measure_from_theta_density(E2, theta_fn, strict=False, validate=False)
+    return fg.strip_coefficients(mu, 64, tol=2e-3)
+
+
+def _arcsine_atom_strip(_):
+    mu = fg.measure_from_theta_density(
+        E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
+    return fg.strip_coefficients(mu, 64)
+
+
+def _torus(period2_set):
+    return fg.torus_jacobi(period2_set, fg.dirichlet_data(period2_set, [(0.3, +1)]),
+                           64).params
+
+
+def _perturbed_torus(period2_set):
+    spec = PerturbationSpec(RandomDecay(5, 1.5, 0.3), "both")
+    return fg.apply_perturbation(_torus(period2_set), spec, 64)
+
+
+@pytest.mark.parametrize("make", [_dead_band_strip, _arcsine_atom_strip, _torus,
+                                  _perturbed_torus])
+def test_computed_coefficients_never_change(make, period2_set):
+    # a stripped tail used to be replaced whole on every re-strip, so the
+    # dead band's b_150 moved by 5.7e-4 after a read of 600 coefficients
+    J = make(period2_set)
+    a, b = J.coeffs(150)
+    keep = a.tobytes(), b.tobytes()
+    a[:] = b[:] = 7.0  # the caller owns what coeffs returns
+    a_long, b_long = J.coeffs(600)
+    assert (a_long[:150].tobytes(), b_long[:150].tobytes()) == keep
+    a, b = J.coeffs(150)
+    assert (a.tobytes(), b.tobytes()) == keep
+    assert J.a(150) == a[-1] and J.b(150) == b[-1]
+
+
+class _CountedBase:
+    """A base whose coeffs calls are recorded."""
+
+    def __init__(self, J):
+        self.J, self.calls = J, []
+
+    def coeffs(self, n):
+        self.calls.append(n)
+        return self.J.coeffs(n)
+
+
+def test_perturbed_tail_reads_base_once_per_growth(period2_set):
+    base = _CountedBase(_torus(period2_set))
+    J = fg.apply_perturbation(base, PerturbationSpec(L1Decay(2.0, 0.1), "b"), 16)
+    assert base.calls == [16]
+    for n in (17, 20, 32, 5, 16, 31):
+        J.coeffs(n)
+        J.b(n)
+    assert base.calls == [16, 32]
+    J.coeffs(40)
+    assert base.calls == [16, 32, 64]
+
+
+def test_perturbed_tail_invalid_coefficient_named():
+    J = fg.apply_perturbation(fg.free_jacobi(),
+                              PerturbationSpec(SingleSite(40, -2.0), "a"), 10)
+    with pytest.raises(ValueError, match="a_40 = -1.0"):
+        J.coeffs(50)
+
+
+def test_perturbed_tail_shared_between_threads(period2_set):
+    # one perturbed tail extended from many threads must match a sequential
+    # run, and no two threads may grow it to the same length
+    spec = PerturbationSpec(RandomDecay(9, 1.5, 0.3), "both")
+    ref_a, ref_b = fg.apply_perturbation(_torus(period2_set), spec, 1).coeffs(400)
+    sizes = range(40, 401, 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            base = _CountedBase(_torus(period2_set))
+            J = fg.apply_perturbation(base, spec, 1)
+            with ThreadPoolExecutor(8) as pool:
+                outs = list(pool.map(J.coeffs, sizes, timeout=120))
+            for n, (a, b) in zip(sizes, outs):
+                assert np.array_equal(a, ref_a[:n]) and np.array_equal(b, ref_b[:n])
+            assert base.calls == sorted(set(base.calls))
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------
