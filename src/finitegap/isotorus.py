@@ -295,16 +295,18 @@ class _StrippingTail:
         S = [2 * (hp - b * h) - s for hp, h, s in zip([0.0] + H, H[:ell], S)]
         S += [self.e1, 1.0]
         kappa = self.e2 - (S[ell - 1] if ell else 0.0)
-        if not kappa < 0:
-            raise AccuracyError(f"stripping step {index}: a^2 = {-kappa / 2}")
+        a2 = -kappa / 2
+        # the cache's checks, made here: every failed step is an AccuracyError
+        if not (0 < a2 < math.inf and math.isfinite(b)):
+            raise AccuracyError(f"stripping step {index}: a^2 = {a2}")
         self.S, self.G, self.kappa = S, H, kappa
-        return math.sqrt(-kappa / 2), b
+        return math.sqrt(a2), b
 
     def __call__(self, have: int, n: int):
         state = self.S, self.G, self.kappa
         try:
             a, b = zip(*[self._step(i) for i in range(have + 1, n + 1)])
-        except AccuracyError:
+        except BaseException:
             # the caller keeps no part of a failed stretch: rewind to have
             self.S, self.G, self.kappa = state
             raise

@@ -37,9 +37,9 @@ from .quadrature import (adaptive_cos_coeffs, cos_series_resolved, cosine_nodes,
 class _Extension:
     """The one store of a computed sequence a_n, b_n (n >= 1); it only appends,
     so a coefficient once read never changes.  A read past the end calls
-    extend(have, n) for a and b at have + 1..m, m >= n (an extend that starts
-    over takes m = max(n, 2 have), a stepper m = n).  Each stretch is checked
-    once; the pair is one tuple of read-only arrays, set under the lock."""
+    extend(have, n) for a and b at have + 1..m (m = n; a re-strip, which
+    starts over, takes max(n, 2 have)).  Each stretch is checked once; the
+    pair is one tuple of read-only arrays, set under the lock."""
 
     def __init__(self, extend):
         self._extend = extend

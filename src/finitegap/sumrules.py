@@ -235,7 +235,6 @@ def apply_perturbation(base: JacobiParams, spec: PerturbationSpec,
     """
 
     def extend(have: int, n: int):
-        n = max(n, 2 * have)  # each call reads the base from n = 1
         (a, b), (da, db) = base.coeffs(n), spec.deltas(n)
         return a[have:] + da[have:], b[have:] + db[have:]
 

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+import math
 import sys
 
 import numpy as np
@@ -509,6 +510,21 @@ def test_torus_breakdown_repeats_at_its_step():
     a, b = J.coeffs(15)
     got = _strip_both(fg.minimal_herglotz(e, dd), 15)[0]
     assert (a.tobytes(), b.tobytes()) == got[:2]
+
+
+def test_torus_nonfinite_step_rewinds(period2_set):
+    # a step with kappa = -inf (a = inf) fails in the stepper, which rewinds,
+    # so the next read continues the sequence from where it ends
+    dd = fg.dirichlet_data(period2_set, [(0.3, +1)])
+    tp = fg.torus_jacobi(period2_set, dd, 10)
+    stepper = tp._coeffs._extend
+    e2, stepper.e2 = stepper.e2, -math.inf
+    with pytest.raises(AccuracyError, match="^stripping step 11: "):
+        tp.params.coeffs(12)
+    stepper.e2 = e2
+    a, b = tp.params.coeffs(40)
+    want_a, want_b = fg.torus_jacobi(period2_set, dd, 40).params.coeffs(40)
+    assert (a.tobytes(), b.tobytes()) == (want_a.tobytes(), want_b.tobytes())
 
 
 def test_dist_to_torus_bit_identical_with_array_oracle(monkeypatch, period2_set,

@@ -18,6 +18,7 @@ from finitegap.sumrules import (L1Decay, Oscillatory, PerturbationSpec,
                                 twisted_sum_report, zero_spec)
 
 import oracles
+from conftest import random_band_set
 
 
 E2 = fg.make_band_set([-2.0, 2.0])
@@ -303,16 +304,32 @@ def test_perturbed_tail_reads_base_once_per_growth(period2_set):
     for n in (17, 20, 32, 5, 16, 31):
         J.coeffs(n)
         J.b(n)
-    assert base.calls == [16, 32]
+    assert base.calls == [16, 17, 20, 32]
     J.coeffs(40)
-    assert base.calls == [16, 32, 64]
+    assert base.calls == [16, 17, 20, 32, 40]
 
 
 def test_perturbed_tail_invalid_coefficient_named():
+    # a read fails only when it reaches the bad term: the tail reads its
+    # base exactly as far as asked
     J = fg.apply_perturbation(fg.free_jacobi(),
                               PerturbationSpec(SingleSite(40, -2.0), "a"), 10)
+    for n in (21, 22, 39):
+        assert len(J.coeffs(n)[0]) == n
     with pytest.raises(ValueError, match="a_40 = -1.0"):
         J.coeffs(50)
+
+
+def test_perturbed_tail_reads_breaking_torus_only_as_asked():
+    # this torus point breaks down at step 21 (test_isotorus), so every read
+    # of 20 coefficients must still succeed
+    e = random_band_set(np.random.default_rng(12004), 12)
+    dd = fg.random_dirichlet(e, np.random.default_rng(4))
+    J = fg.apply_perturbation(fg.torus_jacobi(e, dd, 15).params, zero_spec(), 16)
+    for n in (17, 18, 20):
+        assert len(J.coeffs(n)[0]) == n
+    with pytest.raises(AccuracyError, match="^stripping step 21: "):
+        J.coeffs(21)
 
 
 def test_perturbed_tail_shared_between_threads(period2_set):
