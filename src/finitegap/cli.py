@@ -18,8 +18,8 @@ parser, built once per process.
 JSON payloads are built from the objects' own to_json() values; only
 _write_json makes text.  Config values are checked (_get, _check_keys) before
 any file is written: sizes are integers >= 1 (oprl's n >= 0), other scalars
-numbers, nested specs objects; a wrong type or range, or a bad jacobi spec,
-exits 2.
+numbers, nested specs objects, lists of numbers, pairs or lists in the shape
+each field states; a wrong type or range, or a bad jacobi spec, exits 2.
 """
 from __future__ import annotations
 
@@ -100,14 +100,26 @@ def _get(config: dict, key: str, default, ok, what: str):
     return v
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _is_list(v, ok, length: int | None = None) -> bool:
+    """v is a JSON list (of the given length) whose every item ok accepts."""
+    return type(v) is list and length in (None, len(v)) and all(map(ok, v))
+
+
+def _is_pair(v) -> bool:
+    return _is_list(v, _is_number, 2)
+
+
 def _size(config: dict, key: str, default: int, least: int = 1) -> int:
     return _get(config, key, default, lambda n: type(n) is int and n >= least,
                 f"an integer >= {least}")
 
 
 def _number(config: dict, key: str, default: float) -> float:
-    return float(_get(config, key, default, lambda x: type(x) in (int, float),
-                      "a number"))
+    return float(_get(config, key, default, _is_number, "a number"))
 
 
 def _bands_from_config(config: dict):
@@ -154,7 +166,9 @@ def _dirichlet_from_config(e, items) -> DirichletData:
 def _measure_from_config(e, spec: dict) -> SpectralMeasure:
     _check_keys(spec, {"base", "atoms", "dead_band"}, "measure spec")
     base = spec.get("base", "equilibrium")
-    atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
+    atoms = [(float(x), float(w)) for x, w in _get(
+        spec, "atoms", [], lambda v: _is_list(v, _is_pair),
+        "a list of [x, weight] number pairs")]
     atom_mass = sum(w for _, w in atoms)
     if atom_mass >= 1.0:
         raise CliError(2, "atom weights must total < 1")
@@ -169,7 +183,8 @@ def _measure_from_config(e, spec: dict) -> SpectralMeasure:
     if base in ("semicircle", "arcsine") and band.set.bands != e.bands:
         raise CliError(2, f"measure base {base!r} lives on [-2,2], not {e.bands}")
     scale = 1.0 - atom_mass
-    dead = spec.get("dead_band")
+    dead = _get(spec, "dead_band", None, lambda d: d is None or _is_pair(d),
+                "null or a [lo, hi] number pair")
 
     def theta_fn(j, th):
         h = band.theta_density(j, th) * scale
@@ -236,8 +251,11 @@ def cmd_torus(config: dict, args, out: Path) -> int:
 def cmd_oprl(config: dict, args, out: Path) -> int:
     _check_keys(config, {"jacobi", "z", "n"}, "oprl config")
     J = _jacobi_from_config(config.get("jacobi", "free"))
-    zs = np.array([complex(zspec[0], zspec[1]) if isinstance(zspec, (list, tuple))
-                   else complex(float(zspec), 0.0) for zspec in config.get("z", [3.0])])
+    zs = np.array([complex(zspec[0], zspec[1]) if type(zspec) is list
+                   else complex(float(zspec), 0.0) for zspec in _get(
+                       config, "z", [3.0],
+                       lambda v: _is_list(v, lambda z: _is_number(z) or _is_pair(z)),
+                       "a list of numbers and [re, im] number pairs")])
     n = _size(config, "n", 32, least=0)
     vals = oprl_eval(J, n, zs)
     rows = [(z.real, z.imag, k, v.real, v.imag)
@@ -336,13 +354,14 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         N = _size(config, "n", 1 << 14)
         eq = solve_equilibrium(e)
         omega = eq.harmonic_measures[:-1]  # independent frequencies
-        spec = oscillatory_spec(omega, config.get("k_vector", [1] * max(e.ell, 1)),
-                                _number(config, "amplitude", 0.1),
+        k_vector = _get(config, "k_vector", [1] * max(e.ell, 1),
+                        lambda k: _is_list(k, _is_number), "a list of numbers")
+        k_list = _get(config, "k_list", [[0], [1], [2]],
+                      lambda ks: _is_list(ks, lambda k: _is_list(k, _is_number)),
+                      "a list of lists of numbers")
+        spec = oscillatory_spec(omega, k_vector, _number(config, "amplitude", 0.1),
                                 _number(config, "decay", 1.0))
-        rep = twisted_sum_report(spec, omega,
-                                 [np.asarray(k) for k in
-                                  config.get("k_list", [[0], [1], [2]])],
-                                 N=N)
+        rep = twisted_sum_report(spec, omega, [np.asarray(k) for k in k_list], N=N)
         payload = {"experiment": exp,
                    "per_k": {str(k): v for k, v in rep["per_k"].items()},
                    "sup_growth": rep["sup_growth"], "N": rep["N"]}

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, linprog
 
 from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
@@ -369,22 +369,30 @@ def reflectionless_residual(mh: MinimalHerglotz) -> float:
 # ---------------------------------------------------------------------------
 # the d_m metric and distance to the torus
 
+# d_m stops once the bound on its geometric tail is below DM_TOL, so no d_m
+# is resolved below it: the torus search ends at the first start under it
+DM_TOL = 1e-12
+# d_m reads coefficients in blocks of k = 0..DM_BLOCK-1; the search fits the
+# first block
+DM_BLOCK = 32
+# relative forward-difference step of the search's Jacobians
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
 
 def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
     """d_m(J, J') = sum_{k>=0} e^{-k} (|a_{m+k} - a'_{m+k}| + |b_{m+k} - b'_{m+k}|).
 
     Truncated at k_max once the geometric tail bound (sup of coefficient
-    differences seen so far) * e^{-k_max}/(1 - 1/e) drops below 1e-12.
+    differences seen so far) * e^{-k_max}/(1 - 1/e) drops below DM_TOL.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     total = 0.0
     sup = 0.0
     k = 0
-    block = 32
     geom_tail = 1.0 / (1.0 - math.exp(-1.0))
     while True:
-        n_hi = m + k + block - 1
+        n_hi = m + k + DM_BLOCK - 1
         a1, b1 = J.coeffs(n_hi)
         a2, b2 = Jp.coeffs(n_hi)
         lo = m + k - 1
@@ -393,7 +401,7 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
         sup = max(sup, float(diff.max(initial=0.0)))
         k += len(diff)
         bound = max(sup, 1e-30) * math.exp(-k) * geom_tail
-        if bound < 1e-12:
+        if bound < DM_TOL:
             break
         if k > 10000:
             raise AccuracyError("d_m tail bound did not close; unbounded coefficients?")
@@ -402,69 +410,190 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
 
 @dataclass(frozen=True)
 class TorusDistance:
-    """Result of dist_to_torus: an upper bound on the infimum plus the witness."""
+    """Result of dist_to_torus: an upper bound on the infimum plus the witness.
+
+    nfev counts the objective evaluations of the search, starts the starts
+    it ran from; status is "floor" when a start reached d_m below DM_TOL
+    and "converged" when the L1 polish stopped above it.
+    """
 
     value: float
     dirichlet: DirichletData
     m: int
     grid_per_gap: int
     dd_tol: float
+    nfev: int
+    starts: int
+    status: str
 
     def to_json(self) -> dict:
         return {"value": self.value, "dirichlet": self.dirichlet.to_json(),
                 "m": self.m, "grid_per_gap": self.grid_per_gap,
-                "dd_tol": self.dd_tol}
+                "dd_tol": self.dd_tol, "nfev": self.nfev, "starts": self.starts,
+                "status": self.status}
+
+
+class _TorusSearch:
+    """The first d_m block of J against the torus point at gap-circle angles.
+
+    J's coefficients m..m+DM_BLOCK-1 are read once.  One evaluation steps a
+    bare stepper to exactly those coefficients and keeps the unweighted
+    residuals (a - a^T, then b - b^T); the weights are e^{-k}.  Evaluations
+    and finite-difference Jacobians are memoized on the angles, so a point
+    that two stages visit is evaluated once, and nfev counts the distinct
+    points.
+    """
+
+    def __init__(self, J: JacobiParams, e: FiniteGapSet, m: int):
+        self.e, self.m, self.n = e, m, m + DM_BLOCK - 1
+        a, b = J.coeffs(self.n)
+        self.target = np.concatenate([a[m - 1:], b[m - 1:]])
+        w = np.exp(-np.arange(DM_BLOCK, dtype=float))
+        self.weights = np.concatenate([w, w])
+        self._residuals = {}
+        self._jacobians = {}
+
+    @property
+    def nfev(self) -> int:
+        return len(self._residuals)
+
+    def residual(self, phis: np.ndarray) -> np.ndarray:
+        key = phis.tobytes()
+        r = self._residuals.get(key)
+        if r is None:
+            mh = minimal_herglotz(self.e, dirichlet_from_angles(self.e, phis))
+            a, b = _StrippingTail(mh)(0, self.n)
+            r = self.target - np.concatenate([a[self.m - 1:], b[self.m - 1:]])
+            self._residuals[key] = r
+        return r
+
+    def value(self, phis: np.ndarray) -> float:
+        """The first block of d_m, sum_k e^{-k} (|a_k - a^T_k| + |b_k - b^T_k|)."""
+        return float(self.weights @ np.abs(self.residual(phis)))
+
+    def jacobian(self, phis: np.ndarray) -> np.ndarray:
+        """Forward differences of the residuals, one evaluation per angle."""
+        key = phis.tobytes()
+        jac = self._jacobians.get(key)
+        if jac is None:
+            r = self.residual(phis)
+            jac = np.empty((len(r), len(phis)))
+            for j in range(len(phis)):
+                shifted = phis.copy()
+                shifted[j] += _FD_STEP * max(1.0, abs(phis[j]))
+                jac[:, j] = (self.residual(shifted) - r) / (shifted[j] - phis[j])
+            self._jacobians[key] = jac
+        return jac
+
+
+def _angles(e: FiniteGapSet, dd: DirichletData) -> np.ndarray:
+    """The gap-circle angles of dirichlet_from_angles that give dd."""
+    angles = []
+    for j, (g, s) in enumerate(zip(dd.gammas, dd.sheets)):
+        beta, alpha = e.gap(j)
+        cos_phi = ((beta + alpha) / 2 - g) / ((alpha - beta) / 2)
+        phi = math.acos(min(1.0, max(-1.0, cos_phi)))
+        angles.append(phi if s > 0 else 2 * math.pi - phi)
+    return np.array(angles)
+
+
+def _least_squares(search: _TorusSearch, x0: np.ndarray, tol: float) -> np.ndarray:
+    """Levenberg-Marquardt on the e^{-k/2}-weighted residuals from x0.
+
+    MINPACK tests its step against tol * |x|, so xtol = tol / |x0| makes
+    the step tolerance tol in angle up to how far x moves.
+    """
+    sqrt_w = np.sqrt(search.weights)
+    res = least_squares(lambda x: sqrt_w * search.residual(x), x0,
+                        jac=lambda x: sqrt_w[:, None] * search.jacobian(x),
+                        method="lm", x_scale=1.0,
+                        xtol=tol / max(1.0, float(np.linalg.norm(x0))),
+                        max_nfev=50 * (len(x0) + 1))
+    return res.x
+
+
+def _polish(search: _TorusSearch, x: np.ndarray, tol: float) -> np.ndarray:
+    """Minimize the first d_m block itself (an L1 sum) by sequential linearization.
+
+    Each step solves min_d sum_k w_k |r_k + (J d)_k| exactly as a linear
+    program (r + J d = u - v with u, v >= 0, |d_j| <= pi) and halves the step
+    until the block decreases.  The polish ends when the step it took, or
+    the last one it tried, is shorter than tol in angle; it raises
+    AccuracyError after 50 (l + 1) evaluations.
+    """
+    ell = len(x)
+    cap = search.nfev + 50 * (ell + 1)
+    k = len(search.weights)
+    cost = np.concatenate([np.zeros(ell), search.weights, search.weights])
+    bounds = [(-math.pi, math.pi)] * ell + [(0, None)] * (2 * k)
+    eye = np.eye(k)
+    f = search.value(x)
+    while True:
+        lp = linprog(cost, A_eq=np.hstack([search.jacobian(x), -eye, eye]),
+                     b_eq=-search.residual(x), bounds=bounds, method="highs")
+        if lp.status != 0:
+            raise AccuracyError(f"torus search: linearized L1 step failed: {lp.message}")
+        step = lp.x[:ell]
+        size = float(np.abs(step).max())
+        while True:
+            trial = x + step
+            f_trial = search.value(trial)
+            if search.nfev > cap:
+                raise AccuracyError(f"torus search: L1 polish did not converge "
+                                    f"in {cap} evaluations")
+            if f_trial < f:
+                x, f = trial, f_trial
+                break
+            step, size = step / 2, size / 2
+            if size < tol:
+                return x
+        if size < tol:
+            return x
 
 
 def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
                   grid_per_gap: int = 16, dd_tol: float = 1e-6,
                   initial: DirichletData | None = None) -> TorusDistance:
-    """Approximate inf over torus points of d_m(J, .) by grid + refinement.
+    """Approximate inf over torus points of d_m(J, .) by a least-squares search.
 
-    A coarse product grid over the gap circles (grid_per_gap angles per gap,
-    edges included, sheets on the two semicircles) is followed by coordinate
-    descent with Powell direction updates on the circle angles, to local
-    tolerance dd_tol in the gap positions.  The value is an upper bound on
-    the true infimum; the grid parameters travel with the result.  For a
+    The torus is searched in the gap-circle angles of dirichlet_from_angles.
+    The starts are initial alone, or else the best 3 points of a product
+    grid (grid_per_gap angles per gap, edges included, sheets on the two
+    semicircles).  From each start, Levenberg-Marquardt fits the
+    e^{-k/2}-weighted first block of d_m; the search ends at the first start
+    whose block is below DM_TOL.  Otherwise the best end point is polished on
+    the block itself (an L1 sum) by exact linearized steps.  dd_tol is the
+    step tolerance of both stages in gap positions.  The value is d_m at the
+    witness, an upper bound on the true infimum; the grid parameters and the
+    search's evaluations, starts and status travel with the result.  For a
     gapless set the torus is the single free matrix and d_m is returned
     directly.
     """
     if e.ell == 0:
         val = d_m(J, free_jacobi(), m)
-        return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol)
+        return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol,
+                             1, 1, "floor" if val < DM_TOL else "converged")
 
-    def objective_angles(phis):
-        dd = dirichlet_from_angles(e, phis)
-        return d_m(J, torus_jacobi(e, dd, m).params, m), dd
-
+    search = _TorusSearch(J, e, m)
+    tol = dd_tol / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
-        mids = np.array([(e.gap(j)[0] + e.gap(j)[1]) / 2 for j in range(e.ell)])
-        rads = np.array([(e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell)])
-        cosphi = np.clip((mids - np.asarray(initial.gammas)) / rads, -1, 1)
-        best_phis = np.arccos(cosphi)
-        best_phis = np.where(np.asarray(initial.sheets) < 0, 2 * np.pi - best_phis,
-                             best_phis)
-        best_val, _ = objective_angles(best_phis)
+        starts = [_angles(e, initial)]
     else:
-        best_val = math.inf
-        best_phis = None
         angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-        for phis in itertools.product(angles, repeat=e.ell):
-            phis = np.array(phis)
-            val, _ = objective_angles(phis)
-            if val < best_val:
-                best_val, best_phis = val, phis
+        grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
+        starts = sorted(grid, key=search.value)[:3]
+    ends = []
+    for x0 in starts:
+        x = x0 if search.value(x0) < DM_TOL else _least_squares(search, x0, tol)
+        ends.append(x)
+        if search.value(x) < DM_TOL:
+            status = "floor"
+            break
+    else:
+        x = _polish(search, min(ends, key=search.value), tol)
+        status = "converged"
 
-    # coordinate descent on the circle angles, with Powell direction updates
-    # (plain axis sweeps crawl in the curved valleys the gap angles produce)
-    phis = np.array(best_phis, float)
-    max_rad = max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
-    res = minimize(lambda p: objective_angles(p)[0], phis, method="Powell",
-                   options={"xtol": dd_tol / max_rad, "ftol": 1e-14,
-                            "maxfev": 1000 * e.ell})
-    if res.fun < best_val:
-        best_val = float(res.fun)
-        phis = np.asarray(res.x, float).reshape(e.ell)
-
-    dd = dirichlet_from_angles(e, phis)
-    return TorusDistance(float(best_val), dd, m, grid_per_gap, dd_tol)
+    dd = dirichlet_from_angles(e, x)
+    value = d_m(J, torus_jacobi(e, dd, m).params, m)
+    return TorusDistance(value, dd, m, grid_per_gap, dd_tol, search.nfev,
+                         len(ends), status)

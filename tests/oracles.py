@@ -17,8 +17,10 @@ once).  The fixed-size cosine-substitution grid checks integrals against
 coefficients and the minimal Herglotz function come from numpy array
 arithmetic (the library makes the same operations on Python floats, bit for
 bit), the equilibrium density from the one-point route (the library groups
-an array of points by band), and CSV rows from a per-cell type dispatch (the
-library formats each row with one template).
+an array of points by band), CSV rows from a per-cell type dispatch (the
+library formats each row with one template), and the distance to the torus
+from grid + Powell on d_m of full torus points (the library fits d_m's first
+block by least squares and polishes it in L1).
 """
 from dataclasses import dataclass
 import math
@@ -323,6 +325,50 @@ class StrippingTailPlain:
 def stripping_tail_plain(mh, n):
     """First n torus coefficients (a, b) of mh by the array recursion."""
     return StrippingTailPlain(mh)(0, n)
+
+
+def dist_to_torus_powell(J, e, m, grid_per_gap=16, dd_tol=1e-6, initial=None):
+    """The grid + Powell route to inf_T d_m(J, T): a product grid over the gap
+    circles (or initial alone), then Powell's method on the circle angles
+    with d_m of a full torus point as the objective (the library fits the
+    first d_m block by least squares and polishes it as an L1 sum).
+    Returns (value, DirichletData, objective evaluations)."""
+    import itertools
+    from scipy.optimize import minimize
+    import finitegap as fg
+    nfev = 0
+
+    def objective(phis):
+        nonlocal nfev
+        nfev += 1
+        dd = fg.dirichlet_from_angles(e, phis)
+        return fg.d_m(J, fg.torus_jacobi(e, dd, m).params, m)
+
+    if initial is not None:
+        mids = np.array([(e.gap(j)[0] + e.gap(j)[1]) / 2 for j in range(e.ell)])
+        rads = np.array([(e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell)])
+        cosphi = np.clip((mids - np.asarray(initial.gammas)) / rads, -1, 1)
+        best_phis = np.arccos(cosphi)
+        best_phis = np.where(np.asarray(initial.sheets) < 0,
+                             2 * np.pi - best_phis, best_phis)
+        best_val = objective(best_phis)
+    else:
+        best_val, best_phis = math.inf, None
+        angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
+        for phis in itertools.product(angles, repeat=e.ell):
+            phis = np.array(phis)
+            val = objective(phis)
+            if val < best_val:
+                best_val, best_phis = val, phis
+    phis = np.array(best_phis, float)
+    max_rad = max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
+    res = minimize(objective, phis, method="Powell",
+                   options={"xtol": dd_tol / max_rad, "ftol": 1e-14,
+                            "maxfev": 1000 * e.ell})
+    if res.fun < best_val:
+        best_val = float(res.fun)
+        phis = np.asarray(res.x, float).reshape(e.ell)
+    return best_val, fg.dirichlet_from_angles(e, phis), nfev
 
 
 def minimal_herglotz_plain(e, dd):

@@ -330,13 +330,27 @@ def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
     assert err.startswith("error: ") and "must be an integer >=" in err
 
 
-@pytest.mark.parametrize("config", [
-    {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]], "amplitude": None},
-    {"experiment": "three_condition", "bands": [[-2, 2]], "which_two": 5},
-    {"experiment": "cesaro", "bands": [[-2, 2]], "jacobi": {"torus": 5}},
-], ids=["amplitude_null", "which_two_int", "torus_spec_int"])
-def test_wrong_json_type_exit_2_no_files(tmp_path, capsys, config):
-    rc, files = run_fresh(tmp_path, "sumrule", config)
+@pytest.mark.parametrize("command,config", [
+    ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
+                 "amplitude": None}),
+    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
+                 "which_two": 5}),
+    ("sumrule", {"experiment": "cesaro", "bands": [[-2, 2]],
+                 "jacobi": {"torus": 5}}),
+    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
+                 "measure": {"atoms": [[None, 0.1]]}}),
+    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
+                 "measure": {"dead_band": 5}}),
+    ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
+                 "k_vector": None}),
+    ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
+                 "k_list": 5}),
+    ("oprl", {"z": [None]}),
+    ("oprl", {"z": 5}),
+], ids=["amplitude_null", "which_two_int", "torus_spec_int", "atoms_null",
+        "dead_band_int", "k_vector_null", "k_list_int", "z_item_null", "z_int"])
+def test_wrong_json_type_exit_2_no_files(tmp_path, capsys, command, config):
+    rc, files = run_fresh(tmp_path, command, config)
     assert rc == 2 and files == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and " must be " in err and ", got " in err

@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 import math
+from pathlib import Path
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import finitegap as fg
 from finitegap.errors import AccuracyError, FiniteGapError
+from finitegap.sumrules import L1Decay, PerturbationSpec, RandomDecay
 
 import oracles
 from conftest import random_band_set
@@ -436,6 +438,100 @@ def test_dist_two_gap_product_grid():
     res = fg.dist_to_torus(tp.params, e, 2, grid_per_gap=6)
     assert res.value < 1e-3
     assert np.abs(np.array(res.dirichlet.gammas) - [-0.6, 0.7]).max() < 0.05
+
+
+E6 = fg.make_band_set([-2, -1, -0.3, 0.4, 1.1, 2])
+
+
+def search_family(p2):
+    """(J, set, m, Dirichlet data of J or None): 10 torus points on P2, 6 on
+    the two-gap E6, and 18 P2 torus points perturbed by L1Decay(2, 0.3) or
+    RandomDecay(s, 1.5, 0.5) at m = 2, 6, 12."""
+    cases = []
+    for e, count in ((p2, 10), (E6, 6)):
+        for s in range(count):
+            dd = fg.random_dirichlet(e, np.random.default_rng(s))
+            cases.append((fg.torus_jacobi(e, dd, 48).params, e, 2, dd))
+    seeds = iter(range(100, 118))
+    for kind in (lambda s: L1Decay(2, 0.3), lambda s: RandomDecay(s, 1.5, 0.5)):
+        for m in (2, 6, 12):
+            for s in range(3):
+                dd = fg.random_dirichlet(p2, np.random.default_rng(next(seeds)))
+                J = fg.apply_perturbation(fg.torus_jacobi(p2, dd, 48).params,
+                                          PerturbationSpec(kind(s), "both"), 64)
+                cases.append((J, p2, m, None))
+    return cases
+
+
+def test_dist_search_family_against_powell_oracle(period2_set):
+    # torus points are found to the d_m floor, perturbed points at least as
+    # well as the grid + Powell route, in at most half its evaluations
+    nfev = nfev_oracle = 0
+    for J, e, m, dd in search_family(period2_set):
+        res = fg.dist_to_torus(J, e, m, grid_per_gap=8)
+        want, _, n_oracle = oracles.dist_to_torus_powell(J, e, m, grid_per_gap=8)
+        if dd is not None:
+            assert res.value <= 1e-12 and res.status == "floor", (dd, res)
+        else:
+            assert res.value <= want * (1 + 1e-6), (m, res, want)
+        nfev += res.nfev
+        nfev_oracle += n_oracle
+    assert nfev <= nfev_oracle / 2, (nfev, nfev_oracle)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("m, grid", [(2, 8), (2, 16), (40, 8)])
+def test_dist_cold_start_finds_torus_point(seed, m, grid):
+    # grid + Powell returned 8.1e-2 to 9.8e-2 on these
+    dd = fg.random_dirichlet(E6, np.random.default_rng(seed))
+    J = fg.torus_jacobi(E6, dd, 48).params
+    res = fg.dist_to_torus(J, E6, m, grid_per_gap=grid)
+    assert res.value <= 1e-12
+    assert res.dirichlet.sheets == dd.sheets
+    assert np.abs(np.array(res.dirichlet.gammas) - dd.gammas).max() < 1e-8
+
+
+def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
+    # the benchmark's distance command: a torus point on the 8-point grid
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import cli_configs
+    from finitegap import cli
+    config = dict(cli_configs(43, tiny=False))["distance"]
+    res = fg.dist_to_torus(cli._jacobi_from_config(config["jacobi"]),
+                           cli._bands_from_config(config), config["m"],
+                           grid_per_gap=config["grid_per_gap"])
+    assert res.status == "floor" and res.nfev <= 12
+
+    # a torus point's Cesaro average: each m after the first starts at the
+    # previous witness and ends there
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(fg.isotorus.dist_to_torus(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(fg.sumrules, "dist_to_torus", recorded)
+    assert fg.cesaro_distance(period2_torus.params, period2_set, 5) < 1e-6
+    assert [r.starts for r in results] == [1] * 5
+    assert all(r.status == "floor" for r in results)
+    assert all(r.nfev == 1 for r in results[1:])
+
+
+def test_dist_polish_cap_raises(monkeypatch, period2_set):
+    # linearized steps cut to a thousandth never reach the L1 minimum
+    linprog = fg.isotorus.linprog
+
+    def short_steps(c, A_eq, **kwargs):
+        lp = linprog(c, A_eq=A_eq, **kwargs)
+        lp.x[:A_eq.shape[1] - 2 * A_eq.shape[0]] *= 1e-3
+        return lp
+
+    monkeypatch.setattr(fg.isotorus, "linprog", short_steps)
+    dd = fg.random_dirichlet(period2_set, np.random.default_rng(100))
+    J = fg.apply_perturbation(fg.torus_jacobi(period2_set, dd, 48).params,
+                              PerturbationSpec(L1Decay(2, 0.3), "both"), 64)
+    with pytest.raises(AccuracyError, match="did not converge in"):
+        fg.dist_to_torus(J, period2_set, 2, grid_per_gap=8)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,13 @@ def test_dirichlet_and_torus_distance():
     assert_plain(dd.to_json())
     assert fg.DirichletData.from_json(dd.to_json()) == dd
     tp = fg.torus_jacobi(P2, dd, 32)
-    res = fg.dist_to_torus(tp.params, P2, 1, grid_per_gap=4)
-    assert_plain(res.to_json())
-    assert res.to_json()["dirichlet"] == res.dirichlet.to_json()
+    for J in (tp.params, fg.free_jacobi()):
+        res = fg.dist_to_torus(J, P2, 1, grid_per_gap=4)
+        doc = res.to_json()
+        assert_plain(doc)
+        assert doc["dirichlet"] == res.dirichlet.to_json()
+        assert type(doc["nfev"]) is int and type(doc["starts"]) is int
+        assert doc["status"] == ("floor" if J is tp.params else "converged")
 
 
 @pytest.mark.parametrize("J", jacobi_free_and_periodic(), ids=["free", "periodic"])
