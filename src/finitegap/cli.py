@@ -309,12 +309,20 @@ def cmd_distance(config: dict, args, out: Path) -> int:
     return 0
 
 
+# the keys of each sumrule experiment, besides "experiment"
+_SUMRULE_KEYS = {
+    "lt_free": {"perturbation", "n_trunc"},
+    "three_condition": {"bands", "measure", "which_two", "n_strip", "n_trunc"},
+    "cesaro": {"bands", "jacobi", "M", "perturbation"},
+    "oscillatory": {"bands", "k_vector", "k_list", "amplitude", "decay", "n"},
+}
+
+
 def cmd_sumrule(config: dict, args, out: Path) -> int:
-    _check_keys(config, {"experiment", "bands", "jacobi", "perturbation",
-                         "measure", "which_two", "n_trunc", "n_strip", "M",
-                         "k_vector", "k_list", "amplitude", "decay", "n"},
-                "sumrule config")
     exp = config.get("experiment")
+    if exp not in _SUMRULE_KEYS:
+        raise CliError(2, f"unknown experiment {exp!r}")
+    _check_keys(config, {"experiment", *_SUMRULE_KEYS[exp]}, f"sumrule {exp} config")
     seed = args.seed or 0
     rc = 0
     if exp == "lt_free":
@@ -351,14 +359,17 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
                    zip(range(1, M + 1), dms.tolist()), config)
     elif exp == "oscillatory":
         e = _bands_from_config(config)
+        if e.ell == 0:
+            raise CliError(2, "the oscillatory experiment needs a set with a gap")
         N = _size(config, "n", 1 << 14)
         eq = solve_equilibrium(e)
         omega = eq.harmonic_measures[:-1]  # independent frequencies
-        k_vector = _get(config, "k_vector", [1] * max(e.ell, 1),
-                        lambda k: _is_list(k, _is_number), "a list of numbers")
-        k_list = _get(config, "k_list", [[0], [1], [2]],
-                      lambda ks: _is_list(ks, lambda k: _is_list(k, _is_number)),
-                      "a list of lists of numbers")
+        k_vector = _get(config, "k_vector", [1] * e.ell,
+                        lambda k: _is_list(k, _is_number, e.ell),
+                        f"a list of {e.ell} numbers")
+        k_list = _get(config, "k_list", [[k] * e.ell for k in (0, 1, 2)],
+                      lambda ks: _is_list(ks, lambda k: _is_list(k, _is_number, e.ell)),
+                      f"a list of lists of {e.ell} numbers")
         spec = oscillatory_spec(omega, k_vector, _number(config, "amplitude", 0.1),
                                 _number(config, "decay", 1.0))
         rep = twisted_sum_report(spec, omega, [np.asarray(k) for k in k_list], N=N)
@@ -366,8 +377,6 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
                    "per_k": {str(k): v for k, v in rep["per_k"].items()},
                    "sup_growth": rep["sup_growth"], "N": rep["N"]}
         _write_json(out, "sumrule_oscillatory.json", payload, config)
-    else:
-        raise CliError(2, f"unknown experiment {exp!r}")
     return rc
 
 

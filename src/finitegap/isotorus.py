@@ -36,8 +36,8 @@ from scipy.optimize import least_squares, linprog
 
 from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
-from .jacobi import JacobiParams, ExtendTail, SpectralMeasure, _Extension, \
-    measure_from_theta_density, free_jacobi
+from .jacobi import JacobiParams, ExtendTail, PeriodicTail, SpectralMeasure, \
+    _Extension, measure_from_theta_density
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def minimal_herglotz(e: FiniteGapSet, dd: DirichletData) -> MinimalHerglotz:
     return MinimalHerglotz(e, dd, S, c, np.array(weights))
 
 
-def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:
+def torus_measure(mh: MinimalHerglotz) -> SpectralMeasure:
     """Spectral measure of a minimal Herglotz function.
 
     Band density f(x) = Im m(x+i0)/pi, stored through the theta-density
@@ -243,8 +243,7 @@ def torus_measure(mh: MinimalHerglotz, strict: bool = True) -> SpectralMeasure:
     masses = [(g, w) for g, w in zip(dd.gammas, mh.pole_weights) if w > 0]
     # a gamma close to (but not on) a band edge puts a boundary layer of width
     # sqrt(dist/rad) into h; allow a deep coefficient budget for that case
-    return measure_from_theta_density(e, theta_fn, masses, strict=strict,
-                                      n_max=16384)
+    return measure_from_theta_density(e, theta_fn, masses, n_max=16384)
 
 
 class _StrippingTail:
@@ -343,6 +342,37 @@ def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     return TorusPoint(e, dd, n=n)
 
 
+def _torus_params(e: FiniteGapSet, dd: DirichletData, n: int) -> JacobiParams:
+    """dd's torus point, its first n coefficients computed; a gapless set
+    [a_1, b_1] has the one point a = (b_1 - a_1)/4, b = (a_1 + b_1)/2."""
+    if e.ell == 0:
+        (lo, hi), = e.bands
+        return JacobiParams(np.empty(0), np.empty(0),
+                            PeriodicTail([(hi - lo) / 4], [(lo + hi) / 2]))
+    return torus_jacobi(e, dd, n).params
+
+
+def _move(e: FiniteGapSet, dd: DirichletData, k: int) -> DirichletData:
+    """The Dirichlet data k sites on along the torus (back for k < 0).
+
+    After k exact steps gamma_j is G's root in gap j; its sheet solves
+    S(gamma_j) = -sigma_j rho_j, sign(rho_j) = (-1)^(l - j).  As n -> -n
+    swaps the half-lines, k back is k on with all sheets flipped (Teschl).
+    """
+    if k == 0:
+        return dd
+    flip = 1 if k > 0 else -1
+    step = _StrippingTail(minimal_herglotz(
+        e, DirichletData(dd.gammas, tuple(flip * s for s in dd.sheets))))
+    step(0, abs(k))
+    entries = []
+    for j, g in enumerate(np.sort(np.roots(step.G[::-1]).real)):
+        g = min(max(float(g), e.gap(j)[0]), e.gap(j)[1])
+        side = P.polyval(g, step.S) * (-1) ** (e.ell - j)
+        entries.append((g, -flip if side > 0 else flip))
+    return dirichlet_data(e, entries)
+
+
 def reflectionless_residual(mh: MinimalHerglotz) -> float:
     """max |Re G_00| over band-interior grids, G_00 = -1/(a0^2 (m - mhat)).
 
@@ -434,8 +464,9 @@ class TorusDistance:
 
 
 class _TorusSearch:
-    """The first d_m block of J against the torus point at gap-circle angles.
+    """The first d_m block of J against the torus, searched at site m.
 
+    Stripping maps the torus onto itself, so the angles give site-m data.
     J's coefficients m..m+DM_BLOCK-1 are read once.  One evaluation steps a
     bare stepper to exactly those coefficients and keeps the unweighted
     residuals (a - a^T, then b - b^T); the weights are e^{-k}.  Evaluations
@@ -445,8 +476,8 @@ class _TorusSearch:
     """
 
     def __init__(self, J: JacobiParams, e: FiniteGapSet, m: int):
-        self.e, self.m, self.n = e, m, m + DM_BLOCK - 1
-        a, b = J.coeffs(self.n)
+        self.e = e
+        a, b = J.coeffs(m + DM_BLOCK - 1)
         self.target = np.concatenate([a[m - 1:], b[m - 1:]])
         w = np.exp(-np.arange(DM_BLOCK, dtype=float))
         self.weights = np.concatenate([w, w])
@@ -462,8 +493,7 @@ class _TorusSearch:
         r = self._residuals.get(key)
         if r is None:
             mh = minimal_herglotz(self.e, dirichlet_from_angles(self.e, phis))
-            a, b = _StrippingTail(mh)(0, self.n)
-            r = self.target - np.concatenate([a[self.m - 1:], b[self.m - 1:]])
+            r = self.target - np.concatenate(_StrippingTail(mh)(0, DM_BLOCK))
             self._residuals[key] = r
         return r
 
@@ -556,7 +586,8 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
                   initial: DirichletData | None = None) -> TorusDistance:
     """Approximate inf over torus points of d_m(J, .) by a least-squares search.
 
-    The torus is searched in the gap-circle angles of dirichlet_from_angles.
+    The torus is searched in the gap-circle angles of dirichlet_from_angles
+    at site m (initial and the witness are site-1 data, moved by _move).
     The starts are initial alone, or else the best 3 points of a product
     grid (grid_per_gap angles per gap, edges included, sheets on the two
     semicircles).  From each start, Levenberg-Marquardt fits the
@@ -566,18 +597,17 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     step tolerance of both stages in gap positions.  The value is d_m at the
     witness, an upper bound on the true infimum; the grid parameters and the
     search's evaluations, starts and status travel with the result.  For a
-    gapless set the torus is the single free matrix and d_m is returned
-    directly.
+    gapless set the torus is one period-1 point and d_m is returned directly.
     """
     if e.ell == 0:
-        val = d_m(J, free_jacobi(), m)
+        val = d_m(J, _torus_params(e, DirichletData((), ()), m), m)
         return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol,
                              1, 1, "floor" if val < DM_TOL else "converged")
 
     search = _TorusSearch(J, e, m)
     tol = dd_tol / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
-        starts = [_angles(e, initial)]
+        starts = [_angles(e, _move(e, initial, m - 1))]
     else:
         angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
         grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
@@ -593,7 +623,7 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
         x = _polish(search, min(ends, key=search.value), tol)
         status = "converged"
 
-    dd = dirichlet_from_angles(e, x)
+    dd = _move(e, dirichlet_from_angles(e, x), 1 - m)
     value = d_m(J, torus_jacobi(e, dd, m).params, m)
     return TorusDistance(value, dd, m, grid_per_gap, dd_tol, search.nfev,
                          len(ends), status)

@@ -281,18 +281,23 @@ def transfer_growth(J: JacobiParams, lam: float, N: int) -> float:
     return math.exp(logmax) if logmax < 709 else math.inf
 
 
-def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
-                                   stability_tol: float = 1e-6) -> np.ndarray:
+# how far a truncation eigenvalue off e may move between the N/2 and N
+# truncations and still count as stable
+STABILITY_TOL = 1e-6
+
+
+def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet,
+                                   N: int) -> np.ndarray:
     """Eigenvalues of the N x N truncation lying off e, stability-filtered.
 
     Spurious gap eigenvalues of truncations wander as N changes; only
-    eigenvalues that move by less than stability_tol between the N/2 and N
+    eigenvalues that move by less than STABILITY_TOL between the N/2 and N
     truncations are reported.
 
     Only the few eigenvalues off e are computed: bisection with Sturm counts
     (LAPACK stebz) on each component of R \\ e, never the whole spectrum.
     The N/2 truncation is searched on the same components widened by
-    stability_tol, which holds every eigenvalue within stability_tol of a
+    STABILITY_TOL, which holds every eigenvalue within STABILITY_TOL of a
     candidate.
     """
     if N < 2:
@@ -300,8 +305,8 @@ def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
     out = [x for x in _eigenvalues_off(J, e, N, 0.0) if dist_to_set(e, x) > 0]
     if not out:
         return np.empty(0)
-    ev_half = _eigenvalues_off(J, e, N // 2, stability_tol)
-    stable = [x for x in out if np.abs(ev_half - x).min(initial=np.inf) < stability_tol]
+    ev_half = _eigenvalues_off(J, e, N // 2, STABILITY_TOL)
+    stable = [x for x in out if np.abs(ev_half - x).min(initial=np.inf) < STABILITY_TOL]
     return np.array(sorted(stable))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bandset import (EquilibriumData, FiniteGapSet, dist_to_set,
                       solve_equilibrium)
 from .errors import MeasureError
-from .isotorus import dist_to_torus, dirichlet_from_angles, torus_jacobi
+from .isotorus import _torus_params, d_m, dist_to_torus, torus_jacobi
 from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, _Extension,
                      free_jacobi, oprl_scaled_last, strip_coefficients,
                      truncation_eigenvalues_outside)
@@ -600,16 +600,14 @@ class ExperimentReport:
 
 def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
                                which_two=("a", "b"), n_strip: int = 256,
-                               n_trunc: int = 1024, torus_grid: int = 8,
-                               strip_tol: float = 1e-9,
+                               n_trunc: int = 1024, strip_tol: float = 1e-9,
                                eq: EquilibriumData | None = None) -> ExperimentReport:
     """Evaluate conditions (a) critical LT sum, (b) Szego integral, (c) bounded
     capacity-normalized a-product for a measure-driven example.
 
     Reports the status of the condition implied by `which_two`, and, when all
-    three hold, the approach-to-torus diagnostic: the grid-minimum of
-    sup_{n in [N/2, N]} (|a_n - atilde_n| + |b_n - btilde_n|) at two values
-    of N (decreasing indicates approach).
+    three hold, the approach-to-torus diagnostic: d_N(J, T_e) at N = n_strip/2
+    by dist_to_torus, then d_N at n_strip on its witness: approach if no larger.
     """
     eq = eq if eq is not None else solve_equilibrium(e)
     rep = ExperimentReport("three_condition")
@@ -649,34 +647,13 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
 
     if a_holds and sz > -np.inf and c_holds:
         Ns = [n_strip // 2, n_strip]
-        devs = _torus_grid_deviation(e, J, Ns, torus_grid)
-        rep.add("torus_deviation", devs, N_values=Ns, grid_per_gap=torus_grid)
+        res = dist_to_torus(J, e, Ns[0], grid_per_gap=4)
+        witness = _torus_params(e, res.dirichlet, Ns[1])
+        devs = [res.value, d_m(J, witness, Ns[1])]
+        rep.add("torus_deviation", devs, N_values=Ns, grid_per_gap=res.grid_per_gap,
+                nfev=res.nfev, status=res.status)
         # a 1e-10 floor keeps the verdict meaningful once both deviations sit
         # at stripping noise
         rep.verdicts["approach_to_torus"] = bool(
             devs[-1] <= max(devs[0], 1e-10) * 1.05)
     return rep
-
-
-def _torus_grid_deviation(e: FiniteGapSet, J: JacobiParams, Ns,
-                          grid_per_gap: int) -> list:
-    """For each N in Ns, the min over a coarse torus grid of
-    sup_{n in [N/2, N]} coefficient deviation.
-
-    Each grid point is built once, at max(Ns); its stripping recursion is
-    the same for every N, so each window reads the values a point built at
-    that N would have.
-    """
-    n_max = max(Ns)
-    aJ, bJ = J.coeffs(n_max)
-    if e.ell == 0:
-        return [float(np.max(np.abs(aJ[N // 2:N] - 1.0) + np.abs(bJ[N // 2:N])))
-                for N in Ns]
-    best = [math.inf] * len(Ns)
-    angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-    for phis in itertools.product(angles, repeat=e.ell):
-        tp = torus_jacobi(e, dirichlet_from_angles(e, phis), n_max)
-        at, bt = tp.params.coeffs(n_max)
-        dev = np.abs(aJ - at) + np.abs(bJ - bt)
-        best = [min(m, float(np.max(dev[N // 2:N]))) for m, N in zip(best, Ns)]
-    return best

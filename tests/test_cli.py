@@ -361,3 +361,39 @@ def test_oprl_n_zero_is_valid(tmp_path):
     assert rc == 0 and files == ["oprl.csv"]
     rows = (tmp_path / "out" / "oprl.csv").read_text().splitlines()[2:]
     assert rows == ["3,0,0,1,0"]
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "lt_free", "M": 5},
+    {"experiment": "three_condition", "bands": [[-2, 2]], "k_list": [[1]]},
+    {"experiment": "cesaro", "bands": [[-2, 2]], "measure": {}},
+    {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]], "n_trunc": 64},
+], ids=["lt_free", "three_condition", "cesaro", "oscillatory"])
+def test_sumrule_rejects_another_experiments_key(tmp_path, capsys, config):
+    rc, files = run_fresh(tmp_path, "sumrule", config)
+    assert rc == 2 and files == []
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_sumrule_oscillatory_defaults_fit_two_gaps(tmp_path):
+    rc, files = run_fresh(tmp_path, "sumrule", {
+        "experiment": "oscillatory", "bands": [[-2, -1], [-0.3, 0.4], [1.1, 2]],
+        "n": 1024})
+    assert rc == 0 and files == ["sumrule_oscillatory.json"]
+    doc = json.loads((tmp_path / "out" / "sumrule_oscillatory.json").read_text())
+    assert sorted(doc["per_k"]) == ["(0, 0)", "(1, 1)", "(2, 2)"]
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"bands": [[-2, 2]]}, "needs a set with a gap"),
+    ({"bands": [[-2, -1], [-0.3, 0.4], [1.1, 2]], "k_vector": [1]},
+     "k_vector must be a list of 2 numbers"),
+    ({"bands": [[-2, -1], [1, 2]], "k_list": [[0], [1, 1]]},
+     "k_list must be a list of lists of 1 numbers"),
+], ids=["single_band", "k_vector_length", "k_list_length"])
+def test_sumrule_oscillatory_needs_gaps_and_lengths(tmp_path, capsys, config,
+                                                     message):
+    rc, files = run_fresh(tmp_path, "sumrule", {"experiment": "oscillatory",
+                                                **config})
+    assert rc == 2 and files == []
+    assert message in capsys.readouterr().err

@@ -480,7 +480,7 @@ def test_dist_search_family_against_powell_oracle(period2_set):
 
 
 @pytest.mark.parametrize("seed", [2, 3])
-@pytest.mark.parametrize("m, grid", [(2, 8), (2, 16), (40, 8)])
+@pytest.mark.parametrize("m, grid", [(2, 8), (2, 16), (40, 8), (200, 8)])
 def test_dist_cold_start_finds_torus_point(seed, m, grid):
     # grid + Powell returned 8.1e-2 to 9.8e-2 on these
     dd = fg.random_dirichlet(E6, np.random.default_rng(seed))
@@ -489,6 +489,60 @@ def test_dist_cold_start_finds_torus_point(seed, m, grid):
     assert res.value <= 1e-12
     assert res.dirichlet.sheets == dd.sheets
     assert np.abs(np.array(res.dirichlet.gammas) - dd.gammas).max() < 1e-8
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_site_moves_round_trip(ell):
+    # k sites on and k back return the data; k sites on is the torus point
+    # whose coefficients are the original's from index k + 1 on
+    move = fg.isotorus._move
+    for s in range(2):
+        e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
+        shortest = min(e.gap(j)[1] - e.gap(j)[0] for j in range(ell))
+        for dd in (fg.random_dirichlet(e, np.random.default_rng(s)),
+                   fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi)):
+            a, b = fg.torus_jacobi(e, dd, 240).params.coeffs(240)
+            for k in (1, 7, 50, 200):
+                on = move(e, dd, k)
+                back = move(e, on, -k)
+                assert np.abs(np.subtract(back.gammas, dd.gammas)).max() \
+                    < 1e-9 * shortest, (ell, s, dd, k)
+                for j, g in enumerate(dd.gammas):
+                    if g not in e.gap(j):
+                        assert back.sheets[j] == dd.sheets[j], (ell, s, dd, k)
+                ak, bk = fg.torus_jacobi(e, on, 40).params.coeffs(40)
+                assert np.abs(ak - a[k:k + 40]).max() < 1e-9
+                assert np.abs(bk - b[k:k + 40]).max() < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 200])
+def test_search_evaluation_steps_one_block(monkeypatch, m):
+    # the search runs at site m: one evaluation steps DM_BLOCK coefficients
+    # whatever m is
+    steps = 0
+    step = fg.isotorus._StrippingTail._step
+
+    def counted(self, index):
+        nonlocal steps
+        steps += 1
+        return step(self, index)
+
+    J = fg.torus_jacobi(E6, fg.random_dirichlet(E6, np.random.default_rng(2)),
+                        48).params
+    J.coeffs(m + fg.isotorus.DM_BLOCK)
+    search = fg.isotorus._TorusSearch(J, E6, m)
+    monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
+    search.residual(np.array([1.0, 4.0]))
+    assert steps == fg.isotorus.DM_BLOCK == 32
+
+
+def test_dist_gapless_uses_the_sets_own_point():
+    # on [-1, 3] the torus is the single point a = 1, b = 1
+    e = fg.make_band_set([-1.0, 3.0])
+    J = fg.JacobiParams(np.ones(5), np.ones(5),
+                        fg.jacobi.PeriodicTail([1.0], [1.0]))
+    assert fg.dist_to_torus(J, e, 3).value < 1e-12
+    assert fg.cesaro_distance(J, e, 5) < 1e-12
 
 
 def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):

@@ -797,7 +797,7 @@ def test_denisov_rakhmanov_illustration():
 def test_three_condition_equilibrium(eq_twoband):
     mu = fg.equilibrium_measure(eq_twoband)
     rep = fg.three_condition_experiment(eq_twoband.set, mu, n_strip=128,
-                                        n_trunc=512, torus_grid=8,
+                                        n_trunc=512,
                                         eq=eq_twoband)
     assert rep.verdicts["a_finite"]
     assert rep.verdicts["b_finite"]
@@ -813,13 +813,49 @@ def test_three_condition_equilibrium(eq_twoband):
     assert hi == pytest.approx(max(prods), rel=1e-13)
 
 
+def test_three_condition_approach_is_measured(eq_twoband):
+    # the equilibrium measure's coefficients are a torus point's, so both
+    # searched deviations sit at the d_m floor
+    rep = fg.three_condition_experiment(eq_twoband.set,
+                                        fg.equilibrium_measure(eq_twoband),
+                                        n_strip=128, n_trunc=512, eq=eq_twoband)
+    q = rep.quantities["torus_deviation"]
+    assert max(q["value"]) < 1e-10
+    assert q["params"]["N_values"] == [64, 128]
+    assert q["params"]["grid_per_gap"] == 4
+    assert q["params"]["status"] == "floor" and q["params"]["nfev"] >= 1
+    assert rep.verdicts["approach_to_torus"]
+
+
+@pytest.mark.parametrize("atom", [0.3, -0.1])
+def test_three_condition_approach_with_gap_atom(period2_set, atom):
+    # 0.9 equilibrium + 0.1 delta_atom on P2: the 8-point grid minimum read
+    # 0.21-0.45 at both N here; the search finds the torus point
+    eq = fg.solve_equilibrium(period2_set)
+    mu = fg.measure_from_theta_density(
+        period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), [(atom, 0.1)])
+    rep = fg.three_condition_experiment(period2_set, mu, n_strip=96,
+                                        n_trunc=384, eq=eq)
+    assert max(rep.quantities["torus_deviation"]["value"]) < 1e-12
+    assert rep.verdicts["approach_to_torus"]
+
+
+def test_three_condition_gapless_set_off_the_free_point():
+    # on [-1, 3] the torus is the point a = 1, b = 1, not the free matrix
+    eq = fg.solve_equilibrium(fg.make_band_set([-1.0, 3.0]))
+    rep = fg.three_condition_experiment(eq.set, fg.equilibrium_measure(eq),
+                                        n_strip=64, n_trunc=256, eq=eq)
+    assert max(rep.quantities["torus_deviation"]["value"]) < 1e-10
+    assert rep.verdicts["approach_to_torus"]
+
+
 def test_three_condition_torus_deviation_bit_identical_with_array_oracle(
         monkeypatch, eq_twoband):
     mu = fg.equilibrium_measure(eq_twoband)
 
     def deviation():
         rep = fg.three_condition_experiment(eq_twoband.set, mu, n_strip=128,
-                                            n_trunc=512, torus_grid=8,
+                                            n_trunc=512,
                                             eq=eq_twoband)
         return rep.quantities["torus_deviation"]["value"]
 
