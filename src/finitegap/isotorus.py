@@ -25,7 +25,7 @@ spectral measure (torus_measure) is built only when it is asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
 import math
@@ -352,12 +352,36 @@ def _torus_params(e: FiniteGapSet, dd: DirichletData, n: int) -> JacobiParams:
     return torus_jacobi(e, dd, n).params
 
 
+def _gap_points(e: FiniteGapSet, G, S, flip: int = 1) -> DirichletData:
+    """The Dirichlet data of m = c (sqrt(R) - S)/G, G and S low to high.
+
+    gamma_j is G's root in gap j; its sheet solves S(gamma_j) = -sigma_j
+    rho_j, sign(rho_j) = (-1)^(l - j), with every sheet times flip.  A root
+    within 1e-9 of its gap's length outside the closed gap is clipped into
+    it; a root that is not real, or lies farther out, raises AccuracyError.
+    """
+    roots = np.roots(np.asarray(G, float)[::-1])
+    if roots.imag.any():
+        raise AccuracyError(f"Dirichlet data: G has roots off the real line, {roots}")
+    entries = []
+    for j, g in enumerate(np.sort(roots.real).tolist()):
+        beta, alpha = e.gap(j)
+        slack = 1e-9 * (alpha - beta)
+        if not beta - slack <= g <= alpha + slack:
+            raise AccuracyError(f"Dirichlet data: root {g} of G outside gap {j} "
+                                f"= [{beta}, {alpha}]")
+        g = min(max(g, beta), alpha)
+        side = P.polyval(g, S) * (-1) ** (e.ell - j)
+        entries.append((g, -flip if side > 0 else flip))
+    return dirichlet_data(e, entries)
+
+
 def _move(e: FiniteGapSet, dd: DirichletData, k: int) -> DirichletData:
     """The Dirichlet data k sites on along the torus (back for k < 0).
 
-    After k exact steps gamma_j is G's root in gap j; its sheet solves
-    S(gamma_j) = -sigma_j rho_j, sign(rho_j) = (-1)^(l - j).  As n -> -n
-    swaps the half-lines, k back is k on with all sheets flipped (Teschl).
+    After k exact steps the data is read from the stepper's G and S by
+    _gap_points.  As n -> -n swaps the half-lines, k back is k on with all
+    sheets flipped (Teschl).
     """
     if k == 0:
         return dd
@@ -365,12 +389,48 @@ def _move(e: FiniteGapSet, dd: DirichletData, k: int) -> DirichletData:
     step = _StrippingTail(minimal_herglotz(
         e, DirichletData(dd.gammas, tuple(flip * s for s in dd.sheets))))
     step(0, abs(k))
-    entries = []
-    for j, g in enumerate(np.sort(np.roots(step.G[::-1]).real)):
-        g = min(max(float(g), e.gap(j)[0]), e.gap(j)[1])
-        side = P.polyval(g, step.S) * (-1) ** (e.ell - j)
-        entries.append((g, -flip if side > 0 else flip))
-    return dirichlet_data(e, entries)
+    return _gap_points(e, step.G, step.S, flip)
+
+
+def _site_start(e: FiniteGapSet, a: np.ndarray, b: np.ndarray) -> DirichletData | None:
+    """The torus point whose m-function agrees with J's through the
+    z^-(l+1) term of sqrt(R), from J's coefficients a, b at this site.
+
+    The moments mu_i = <delta_1, T^i delta_1>, i <= 2l + 1, are exact on the
+    (l+2) x (l+2) section T.  With sqrt(R) = z^(l+1) sum_k f_k z^-k and
+    u = G/c, the z^-q coefficients of u m = sqrt(R) - S, q = 1..l+1, are
+    -sum_i mu_(i+q-1) u_i = f_(l+1+q): one Hankel solve.  Then G = u/u_l
+    and S_p = f_(l+1-p) + sum_(i>p) u_i mu_(i-1-p).  None when the solve is
+    singular or _gap_points rejects G's roots.
+    """
+    ell = e.ell
+    n = ell + 2
+    T = np.diag(b[:n]) + np.diag(a[:n - 1], 1) + np.diag(a[:n - 1], -1)
+    v = np.zeros(n)
+    v[0] = 1.0
+    mu = []
+    for _ in range(ell + 1):
+        w = T @ v
+        mu += [float(v @ v), float(v @ w)]
+        v = w
+    # the power-series square root of R(z) / z^(2l+2), branch f_0 = 1
+    rho = e.R_coeffs[::-1].tolist()
+    f = [1.0]
+    for q in range(1, 2 * ell + 3):
+        f.append((rho[q] - sum(f[i] * f[q - i] for i in range(1, q))) / 2)
+    H = np.array([[-mu[i + q] for i in range(ell + 1)] for q in range(ell + 1)])
+    try:
+        u = np.linalg.solve(H, f[ell + 2:])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(u).all() and u[ell] != 0):
+        return None
+    S = [f[ell + 1 - p] + sum(u[i] * mu[i - 1 - p] for i in range(p + 1, ell + 1))
+         for p in range(ell + 2)]
+    try:
+        return _gap_points(e, u / u[ell], S)
+    except AccuracyError:
+        return None
 
 
 def reflectionless_residual(mh: MinimalHerglotz) -> float:
@@ -417,16 +477,22 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    total, k = _d_from(J, m, Jp, m)
+    return (total, k) if return_kmax else total
+
+
+def _d_from(J: JacobiParams, m: int, W: JacobiParams, w: int) -> tuple[float, int]:
+    """(d_m of J against W read from its index w, k_max): the sum of
+    e^{-k} (|a_{m+k} - a^W_{w+k}| + |b_{m+k} - b^W_{w+k}|), truncated as d_m."""
     total = 0.0
     sup = 0.0
     k = 0
     geom_tail = 1.0 / (1.0 - math.exp(-1.0))
     while True:
-        n_hi = m + k + DM_BLOCK - 1
-        a1, b1 = J.coeffs(n_hi)
-        a2, b2 = Jp.coeffs(n_hi)
-        lo = m + k - 1
-        diff = np.abs(a1[lo:] - a2[lo:]) + np.abs(b1[lo:] - b2[lo:])
+        a1, b1 = J.coeffs(m + k + DM_BLOCK - 1)
+        a2, b2 = W.coeffs(w + k + DM_BLOCK - 1)
+        lo, lo_w = m + k - 1, w + k - 1
+        diff = np.abs(a1[lo:] - a2[lo_w:]) + np.abs(b1[lo:] - b2[lo_w:])
         total += float(np.exp(-(k + np.arange(len(diff)))) @ diff)
         sup = max(sup, float(diff.max(initial=0.0)))
         k += len(diff)
@@ -435,7 +501,7 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
             break
         if k > 10000:
             raise AccuracyError("d_m tail bound did not close; unbounded coefficients?")
-    return (total, k) if return_kmax else total
+    return total, k
 
 
 @dataclass(frozen=True)
@@ -444,7 +510,9 @@ class TorusDistance:
 
     nfev counts the objective evaluations of the search, starts the starts
     it ran from; status is "floor" when a start reached d_m below DM_TOL
-    and "converged" when the L1 polish stopped above it.
+    and "converged" when the L1 polish stopped above it.  point is the
+    witness's torus point at site m (its coefficient k is the witness's
+    coefficient m - 1 + k); it is not part of to_json.
     """
 
     value: float
@@ -455,6 +523,13 @@ class TorusDistance:
     nfev: int
     starts: int
     status: str
+    point: JacobiParams = field(repr=False, compare=False)
+
+    def deviation(self, J: JacobiParams, n: int) -> float:
+        """d_n(J, witness) for n >= m, read from the site-m point."""
+        if n < self.m:
+            raise ValueError(f"n = {n} is below the search site m = {self.m}")
+        return _d_from(J, n, self.point, n - self.m + 1)[0]
 
     def to_json(self) -> dict:
         return {"value": self.value, "dirichlet": self.dirichlet.to_json(),
@@ -472,13 +547,16 @@ class _TorusSearch:
     residuals (a - a^T, then b - b^T); the weights are e^{-k}.  Evaluations
     and finite-difference Jacobians are memoized on the angles, so a point
     that two stages visit is evaluated once, and nfev counts the distinct
-    points.
+    points.  The first l + 2 of J's coefficients are also kept as a and b
+    for the site start.
     """
 
     def __init__(self, J: JacobiParams, e: FiniteGapSet, m: int):
         self.e = e
-        a, b = J.coeffs(m + DM_BLOCK - 1)
-        self.target = np.concatenate([a[m - 1:], b[m - 1:]])
+        a, b = J.coeffs(m + max(DM_BLOCK, e.ell + 2) - 1)
+        self.a, self.b = a[m - 1:m + e.ell + 1], b[m - 1:m + e.ell + 1]
+        self.target = np.concatenate([a[m - 1:m + DM_BLOCK - 1],
+                                      b[m - 1:m + DM_BLOCK - 1]])
         w = np.exp(-np.arange(DM_BLOCK, dtype=float))
         self.weights = np.concatenate([w, w])
         self._residuals = {}
@@ -588,30 +666,38 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
 
     The torus is searched in the gap-circle angles of dirichlet_from_angles
     at site m (initial and the witness are site-1 data, moved by _move).
-    The starts are initial alone, or else the best 3 points of a product
-    grid (grid_per_gap angles per gap, edges included, sheets on the two
+    With initial, it is the one start.  Otherwise the search first tries
+    the site start, the torus point that J's own coefficients at site m fix
+    (_site_start), and ends there when its block is below DM_TOL; else the
+    starts are the best 3 of the site start and a product grid
+    (grid_per_gap angles per gap, edges included, sheets on the two
     semicircles).  From each start, Levenberg-Marquardt fits the
     e^{-k/2}-weighted first block of d_m; the search ends at the first start
     whose block is below DM_TOL.  Otherwise the best end point is polished on
     the block itself (an L1 sum) by exact linearized steps.  dd_tol is the
     step tolerance of both stages in gap positions.  The value is d_m at the
-    witness, an upper bound on the true infimum; the grid parameters and the
-    search's evaluations, starts and status travel with the result.  For a
-    gapless set the torus is one period-1 point and d_m is returned directly.
+    witness, read from its torus point at site m, and an upper bound on the
+    true infimum; the grid parameters and the search's evaluations, starts
+    and status travel with the result.  For a gapless set the torus is one
+    period-1 point and d_m is returned directly.
     """
     if e.ell == 0:
-        val = d_m(J, _torus_params(e, DirichletData((), ()), m), m)
+        point = _torus_params(e, DirichletData((), ()), m)
+        val = d_m(J, point, m)
         return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol,
-                             1, 1, "floor" if val < DM_TOL else "converged")
+                             1, 1, "floor" if val < DM_TOL else "converged", point)
 
     search = _TorusSearch(J, e, m)
     tol = dd_tol / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
         starts = [_angles(e, _move(e, initial, m - 1))]
     else:
-        angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-        grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
-        starts = sorted(grid, key=search.value)[:3]
+        site = _site_start(e, search.a, search.b)
+        starts = [] if site is None else [_angles(e, site)]
+        if not starts or search.value(starts[0]) >= DM_TOL:
+            angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
+            grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
+            starts = sorted(starts + grid, key=search.value)[:3]
     ends = []
     for x0 in starts:
         x = x0 if search.value(x0) < DM_TOL else _least_squares(search, x0, tol)
@@ -623,7 +709,8 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
         x = _polish(search, min(ends, key=search.value), tol)
         status = "converged"
 
-    dd = _move(e, dirichlet_from_angles(e, x), 1 - m)
-    value = d_m(J, torus_jacobi(e, dd, m).params, m)
-    return TorusDistance(value, dd, m, grid_per_gap, dd_tol, search.nfev,
-                         len(ends), status)
+    site_dd = dirichlet_from_angles(e, x)
+    point = torus_jacobi(e, site_dd, 0).params
+    value = _d_from(J, m, point, 1)[0]
+    return TorusDistance(value, _move(e, site_dd, 1 - m), m, grid_per_gap, dd_tol,
+                         search.nfev, len(ends), status, point)

@@ -515,6 +515,73 @@ def test_site_moves_round_trip(ell):
                 assert np.abs(bk - b[k:k + 40]).max() < 1e-9
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_site_start_is_the_moved_data(ell):
+    # J's own coefficients at site m fix the data k = m - 1 sites on; for
+    # l <= 2 the search ends at that one evaluation (from l = 3 on the block
+    # of the site start, like that of the moved data, reaches 1e-12..1e-10,
+    # around DM_TOL, so the search goes on)
+    for s in range(2):
+        e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
+        shortest = min(e.gap(j)[1] - e.gap(j)[0] for j in range(ell))
+        for dd in (fg.random_dirichlet(e, np.random.default_rng(s)),
+                   fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi)):
+            J = fg.torus_jacobi(e, dd, 48).params
+            for m in (1, 2, 48, 200):
+                a, b = J.coeffs(m + ell + 1)
+                start = fg.isotorus._site_start(e, a[m - 1:], b[m - 1:])
+                want = fg.isotorus._move(e, dd, m - 1)
+                assert np.abs(np.subtract(start.gammas, want.gammas)).max() \
+                    < 1e-9 * shortest, (ell, s, dd, m)
+                for j, g in enumerate(want.gammas):
+                    if g not in e.gap(j):
+                        assert start.sheets[j] == want.sheets[j], (ell, s, dd, m)
+                if ell <= 2:
+                    res = fg.dist_to_torus(J, e, m)
+                    assert (res.status, res.nfev, res.starts) == ("floor", 1, 1)
+                    assert res.value < fg.isotorus.DM_TOL
+
+
+def test_rejected_site_start_takes_the_grid_route(period2_set):
+    # b_1 = 3 puts G's root right of the gap: no site start, so every grid
+    # point is evaluated and the search reaches at least the Powell oracle
+    J = fg.JacobiParams(np.ones(2), np.array([3.0, 0.0]))
+    a, b = J.coeffs(3)
+    assert fg.isotorus._site_start(period2_set, a, b) is None
+    res = fg.dist_to_torus(J, period2_set, 1, grid_per_gap=8)
+    want, _, _ = oracles.dist_to_torus_powell(J, period2_set, 1, grid_per_gap=8)
+    assert res.nfev > 8 and res.starts == 3
+    assert res.value <= want * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("ell, seed", [(3, 300), (4, 400)])
+def test_dist_grid4_finds_many_gap_torus_points(ell, seed):
+    # at grid 4 the three best grid starts missed 8 of these 12 (0.10-0.62)
+    for s in range(3):
+        e = random_band_set(np.random.default_rng(seed + s), ell)
+        J = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(s)),
+                            48).params
+        for m in (1, 24):
+            res = fg.dist_to_torus(J, e, m, grid_per_gap=4)
+            assert res.value <= 1e-11, (ell, s, m, res)
+
+
+def test_gap_points_reject_roots_off_the_gaps(period2_set):
+    # the reader of _move and the site start: z^2 + 1 has no real root and
+    # z - 3 lies right of P2's gap (-1, 1); a root within 1e-9 of the gap's
+    # length outside it lands on the edge
+    gap_points = fg.isotorus._gap_points
+    S = [0.0, 0.0, 1.0]
+    with pytest.raises(AccuracyError, match="off the real line"):
+        gap_points(fg.make_band_set([-3, -2, -1, 1, 2, 3]), [1.0, 0.0, 1.0],
+                   [0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(AccuracyError, match="outside gap 0"):
+        gap_points(period2_set, [-3.0, 1.0], S)
+    assert gap_points(period2_set, [-(1 + 1e-10), 1.0], S).gammas == (1.0,)
+    with pytest.raises(AccuracyError, match="outside gap 0"):
+        gap_points(period2_set, [-(1 + 1e-8), 1.0], S)
+
+
 @pytest.mark.parametrize("m", [2, 200])
 def test_search_evaluation_steps_one_block(monkeypatch, m):
     # the search runs at site m: one evaluation steps DM_BLOCK coefficients
@@ -546,7 +613,7 @@ def test_dist_gapless_uses_the_sets_own_point():
 
 
 def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
-    # the benchmark's distance command: a torus point on the 8-point grid
+    # the benchmark's distance command: a torus point, found at its site start
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from perfbench.workloads import cli_configs
     from finitegap import cli
@@ -554,7 +621,7 @@ def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
     res = fg.dist_to_torus(cli._jacobi_from_config(config["jacobi"]),
                            cli._bands_from_config(config), config["m"],
                            grid_per_gap=config["grid_per_gap"])
-    assert res.status == "floor" and res.nfev <= 12
+    assert res.status == "floor" and res.nfev == 1
 
     # a torus point's Cesaro average: each m after the first starts at the
     # previous witness and ends there

@@ -828,16 +828,31 @@ def test_three_condition_approach_is_measured(eq_twoband):
 
 
 @pytest.mark.parametrize("atom", [0.3, -0.1])
-def test_three_condition_approach_with_gap_atom(period2_set, atom):
+def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     # 0.9 equilibrium + 0.1 delta_atom on P2: the 8-point grid minimum read
-    # 0.21-0.45 at both N here; the search finds the torus point
+    # 0.21-0.45 at both N here; the search finds the torus point at its site
+    # start.  It steps 32 times for that evaluation, N/2 - 1 to move the
+    # witness back to site 1 and N/2 + 32 to read its site-N/2 point to
+    # N + 31 for both deviations; building the witness twice took 605-765
+    steps = 0
+    step = fg.isotorus._StrippingTail._step
+
+    def counted(self, index):
+        nonlocal steps
+        steps += 1
+        return step(self, index)
+
     eq = fg.solve_equilibrium(period2_set)
     mu = fg.measure_from_theta_density(
         period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), [(atom, 0.1)])
+    monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
     rep = fg.three_condition_experiment(period2_set, mu, n_strip=96,
                                         n_trunc=384, eq=eq)
-    assert max(rep.quantities["torus_deviation"]["value"]) < 1e-12
+    q = rep.quantities["torus_deviation"]
+    assert max(q["value"]) < 1e-12
     assert rep.verdicts["approach_to_torus"]
+    assert q["params"]["nfev"] == 1
+    assert steps <= 32 + (96 // 2 - 1) + (96 // 2 + 32) == 159
 
 
 def test_three_condition_gapless_set_off_the_free_point():
