@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import least_squares, linprog
 
 from .bandset import FiniteGapSet, root_product
 from .errors import AccuracyError, FiniteGapError
@@ -605,12 +604,19 @@ def _angles(e: FiniteGapSet, dd: DirichletData) -> np.ndarray:
     return np.array(angles)
 
 
+def _fit(search: _TorusSearch, x0: np.ndarray, tol: float) -> np.ndarray:
+    """x0 when its block is below DM_TOL, else the Levenberg-Marquardt end from x0."""
+    return x0 if search.value(x0) < DM_TOL else _least_squares(search, x0, tol)
+
+
 def _least_squares(search: _TorusSearch, x0: np.ndarray, tol: float) -> np.ndarray:
     """Levenberg-Marquardt on the e^{-k/2}-weighted residuals from x0.
 
     MINPACK tests its step against tol * |x|, so xtol = tol / |x0| makes
     the step tolerance tol in angle up to how far x moves.
     """
+    from scipy.optimize import least_squares
+
     sqrt_w = np.sqrt(search.weights)
     res = least_squares(lambda x: sqrt_w * search.residual(x), x0,
                         jac=lambda x: sqrt_w[:, None] * search.jacobian(x),
@@ -629,6 +635,8 @@ def _polish(search: _TorusSearch, x: np.ndarray, tol: float) -> np.ndarray:
     the last one it tried, is shorter than tol in angle; it raises
     AccuracyError after 50 (l + 1) evaluations.
     """
+    from scipy.optimize import linprog
+
     ell = len(x)
     cap = search.nfev + 50 * (ell + 1)
     k = len(search.weights)
@@ -666,20 +674,22 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
 
     The torus is searched in the gap-circle angles of dirichlet_from_angles
     at site m (initial and the witness are site-1 data, moved by _move).
-    With initial, it is the one start.  Otherwise the search first tries
-    the site start, the torus point that J's own coefficients at site m fix
-    (_site_start), and ends there when its block is below DM_TOL; else the
-    starts are the best 3 of the site start and a product grid
-    (grid_per_gap angles per gap, edges included, sheets on the two
-    semicircles).  From each start, Levenberg-Marquardt fits the
-    e^{-k/2}-weighted first block of d_m; the search ends at the first start
-    whose block is below DM_TOL.  Otherwise the best end point is polished on
-    the block itself (an L1 sum) by exact linearized steps.  dd_tol is the
-    step tolerance of both stages in gap positions.  The value is d_m at the
-    witness, read from its torus point at site m, and an upper bound on the
-    true infimum; the grid parameters and the search's evaluations, starts
-    and status travel with the result.  For a gapless set the torus is one
-    period-1 point and d_m is returned directly.
+    With initial, it is the one start.  Otherwise the first start is the
+    site start, the torus point that J's own coefficients at site m fix
+    (_site_start).  From a start whose block is not below DM_TOL,
+    Levenberg-Marquardt fits the e^{-k/2}-weighted first block of d_m; the
+    search ends at the first start or fit whose block is below DM_TOL.
+    Only when the site start's fit ends above it, or there is no site
+    start, is a product grid evaluated (grid_per_gap angles per gap, edges
+    included, sheets on the two semicircles), and its best points follow
+    the site start, 3 starts in all.  When no fit reaches DM_TOL, the best
+    end point is polished on the block itself (an L1 sum) by exact
+    linearized steps.  dd_tol is the step tolerance of both stages in gap
+    positions.  The value is d_m at the witness, read from its torus point
+    at site m, and an upper bound on the true infimum; the grid parameters
+    and the search's evaluations, starts and status travel with the result.
+    For a gapless set the torus is one period-1 point and d_m is returned
+    directly.
     """
     if e.ell == 0:
         point = _torus_params(e, DirichletData((), ()), m)
@@ -690,21 +700,20 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     search = _TorusSearch(J, e, m)
     tol = dd_tol / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
-        starts = [_angles(e, _move(e, initial, m - 1))]
+        ends = [_fit(search, _angles(e, _move(e, initial, m - 1)), tol)]
     else:
         site = _site_start(e, search.a, search.b)
-        starts = [] if site is None else [_angles(e, site)]
-        if not starts or search.value(starts[0]) >= DM_TOL:
+        ends = [] if site is None else [_fit(search, _angles(e, site), tol)]
+        if not ends or search.value(ends[0]) >= DM_TOL:
             angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
             grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
-            starts = sorted(starts + grid, key=search.value)[:3]
-    ends = []
-    for x0 in starts:
-        x = x0 if search.value(x0) < DM_TOL else _least_squares(search, x0, tol)
-        ends.append(x)
-        if search.value(x) < DM_TOL:
-            status = "floor"
-            break
+            for x0 in sorted(grid, key=search.value)[:3 - len(ends)]:
+                ends.append(_fit(search, x0, tol))
+                if search.value(ends[-1]) < DM_TOL:
+                    break
+    x = ends[-1]
+    if search.value(x) < DM_TOL:
+        status = "floor"
     else:
         x = _polish(search, min(ends, key=search.value), tol)
         status = "converged"

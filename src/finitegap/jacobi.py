@@ -21,8 +21,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .bandset import FiniteGapSet, dist_to_set, make_band_set
 from .errors import AccuracyError, DomainError, MeasureError
@@ -314,6 +312,8 @@ def _eigenvalues_off(J: JacobiParams, e: FiniteGapSet, N: int, pad: float) -> np
     """Eigenvalues of the N x N truncation in the components of R \\ e, each
     widened by pad on both sides: (-inf, a_1 + pad], (b_j - pad, a_{j+1} + pad],
     (b_{l+1} - pad, inf].  The ends are half-open, as in stebz."""
+    from scipy.linalg import eigh_tridiagonal
+
     a, b = J.coeffs(N)
     edges = [-math.inf, *e.endpoints, math.inf]
     return np.concatenate([
@@ -514,6 +514,8 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
     a_K vanishes in exact arithmetic, and past it the recursion runs on
     rounding noise.
     """
+    from scipy.linalg.blas import daxpy, ddot, dscal
+
     M = len(nodes)
     if N + 1 > M:
         raise ValueError(f"need more nodes ({M}) than coefficients ({N})")

@@ -8,7 +8,6 @@ is then spectrally accurate, and the DCT-II of the samples returns c_k.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import AccuracyError
 
@@ -24,6 +23,8 @@ def cos_coeffs(samples: np.ndarray) -> np.ndarray:
     Returns c with h(theta) ~= sum_k c[k] cos(k*theta); c[0] is the mean of h,
     so integral of h over (0, pi) equals pi*c[0].
     """
+    from scipy.fft import dct
+
     n = len(samples)
     c = dct(samples, type=2) / n
     c[0] *= 0.5

@@ -520,7 +520,9 @@ def test_site_start_is_the_moved_data(ell):
     # J's own coefficients at site m fix the data k = m - 1 sites on; for
     # l <= 2 the search ends at that one evaluation (from l = 3 on the block
     # of the site start, like that of the moved data, reaches 1e-12..1e-10,
-    # around DM_TOL, so the search goes on)
+    # around DM_TOL, so Levenberg-Marquardt runs from it, and the grid
+    # follows only where its end stays at the stepper's own floor above
+    # DM_TOL)
     for s in range(2):
         e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
         shortest = min(e.gap(j)[1] - e.gap(j)[0] for j in range(ell))
@@ -552,6 +554,24 @@ def test_rejected_site_start_takes_the_grid_route(period2_set):
     want, _, _ = oracles.dist_to_torus_powell(J, period2_set, 1, grid_per_gap=8)
     assert res.nfev > 8 and res.starts == 3
     assert res.value <= want * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("ell, seed, edge", [(3, 3001, False), (4, 4000, True)])
+def test_site_start_fit_before_the_grid(ell, seed, edge):
+    # site starts whose block sits above DM_TOL: 1.4e-12, and 1.0e-6 for
+    # edge data whose gamma is right to 2.4e-12 of the shortest gap; fitted
+    # first, they end at the floor without the grid (4096 and 65 536 points
+    # at grid 16)
+    e = random_band_set(np.random.default_rng(seed), ell)
+    dd = (fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi) if edge
+          else fg.random_dirichlet(e, np.random.default_rng(1)))
+    J = fg.torus_jacobi(e, dd, 48).params
+    search = fg.isotorus._TorusSearch(J, e, 1)
+    start = fg.isotorus._angles(e, fg.isotorus._site_start(e, search.a, search.b))
+    assert search.value(start) >= fg.isotorus.DM_TOL
+    res = fg.dist_to_torus(J, e, 1)
+    assert res.status == "floor" and res.nfev <= 20 and res.starts == 1, res
+    assert res.value < fg.isotorus.DM_TOL
 
 
 @pytest.mark.parametrize("ell, seed", [(3, 300), (4, 400)])
@@ -639,15 +659,17 @@ def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
 
 
 def test_dist_polish_cap_raises(monkeypatch, period2_set):
-    # linearized steps cut to a thousandth never reach the L1 minimum
-    linprog = fg.isotorus.linprog
+    # linearized steps cut to a thousandth never reach the L1 minimum;
+    # _polish imports linprog from scipy.optimize when it runs
+    import scipy.optimize
+    linprog = scipy.optimize.linprog
 
     def short_steps(c, A_eq, **kwargs):
         lp = linprog(c, A_eq=A_eq, **kwargs)
         lp.x[:A_eq.shape[1] - 2 * A_eq.shape[0]] *= 1e-3
         return lp
 
-    monkeypatch.setattr(fg.isotorus, "linprog", short_steps)
+    monkeypatch.setattr(scipy.optimize, "linprog", short_steps)
     dd = fg.random_dirichlet(period2_set, np.random.default_rng(100))
     J = fg.apply_perturbation(fg.torus_jacobi(period2_set, dd, 48).params,
                               PerturbationSpec(L1Decay(2, 0.3), "both"), 64)
