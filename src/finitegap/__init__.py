@@ -2,17 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .bandset import (EquilibriumData, FiniteGapSet, capacity,
-                      dist_to_complement, dist_to_set, equilibrium_density,
-                      green, harmonic_measures, joukowski, joukowski_inverse,
-                      make_band_set, potential, rational_harmonic_period,
-                      solve_equilibrium)
+from .bandset import (EquilibriumData, FiniteGapSet, dist_to_complement,
+                      dist_to_set, equilibrium_density, green, make_band_set,
+                      potential, rational_harmonic_period, solve_equilibrium)
 from .errors import AccuracyError, DomainError, FiniteGapError, MeasureError
 from .jacobi import (JacobiParams, SpectralMeasure, arcsine_measure,
-                     equilibrium_measure, free_jacobi, g00, g00_shifted,
-                     m_from_measure, measure_from_theta_density, oprl_eval,
-                     oprl_log_abs, oprl_scaled_last, semicircle_measure,
-                     strip_coefficients, transfer_growth,
+                     equilibrium_measure, free_jacobi,
+                     measure_from_theta_density, oprl_eval, oprl_log_abs,
+                     oprl_scaled_last, semicircle_measure, strip_coefficients,
                      truncation_eigenvalues_outside)
 from .isotorus import (DirichletData, MinimalHerglotz, TorusPoint, d_m,
                        dirichlet_data, dirichlet_from_angles, dist_to_torus,

@@ -325,16 +325,6 @@ def green(eq: EquilibriumData, z) -> float | np.ndarray:
     return eq.robin_constant - potential(eq, z)
 
 
-def capacity(eq: EquilibriumData) -> float:
-    """C(e) = exp(-Robin constant)."""
-    return eq.capacity
-
-
-def harmonic_measures(eq: EquilibriumData) -> np.ndarray:
-    """Equilibrium masses of the bands; positive, summing to 1."""
-    return eq.harmonic_measures.copy()
-
-
 def dist_to_set(e: FiniteGapSet, x: float) -> float:
     """Euclidean distance from x to e."""
     best = math.inf
@@ -352,17 +342,6 @@ def dist_to_complement(e: FiniteGapSet, x: float) -> float:
         return 0.0
     a, b = e.bands[j]
     return min(x - a, b - x)
-
-
-def joukowski(z):
-    """x(z) = z + 1/z."""
-    z = np.asarray(z, complex)
-    return z + 1.0 / z
-
-
-def joukowski_inverse(x):
-    """z(x) = (x - sqrt(x^2-4))/2 with the branch |z| <= 1."""
-    return inv_joukowski(np.asarray(x, complex) / 2.0)
 
 
 def rational_harmonic_period(omega, tol: float = 1e-6, max_denominator: int = 128):

@@ -164,7 +164,7 @@ def _dirichlet_from_config(e, items) -> DirichletData:
 
 
 def _measure_from_config(e, spec: dict) -> SpectralMeasure:
-    _check_keys(spec, {"base", "atoms", "dead_band"}, "measure spec")
+    _check_keys(spec, {"base", "atoms"}, "measure spec")
     base = spec.get("base", "equilibrium")
     atoms = [(float(x), float(w)) for x, w in _get(
         spec, "atoms", [], lambda v: _is_list(v, _is_pair),
@@ -183,18 +183,8 @@ def _measure_from_config(e, spec: dict) -> SpectralMeasure:
     if base in ("semicircle", "arcsine") and band.set.bands != e.bands:
         raise CliError(2, f"measure base {base!r} lives on [-2,2], not {e.bands}")
     scale = 1.0 - atom_mass
-    dead = _get(spec, "dead_band", None, lambda d: d is None or _is_pair(d),
-                "null or a [lo, hi] number pair")
-
-    def theta_fn(j, th):
-        h = band.theta_density(j, th) * scale
-        if dead is not None:
-            x = e.midpoints[j] + e.radii[j] * np.cos(th)
-            h = np.where((x >= dead[0]) & (x <= dead[1]), 0.0, h)
-        return h
-
-    return measure_from_theta_density(e, theta_fn, atoms,
-                                      strict=dead is None)
+    return measure_from_theta_density(
+        e, lambda j, th: band.theta_density(j, th) * scale, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -341,16 +341,6 @@ def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     return TorusPoint(e, dd, n=n)
 
 
-def _torus_params(e: FiniteGapSet, dd: DirichletData, n: int) -> JacobiParams:
-    """dd's torus point, its first n coefficients computed; a gapless set
-    [a_1, b_1] has the one point a = (b_1 - a_1)/4, b = (a_1 + b_1)/2."""
-    if e.ell == 0:
-        (lo, hi), = e.bands
-        return JacobiParams(np.empty(0), np.empty(0),
-                            PeriodicTail([(hi - lo) / 4], [(lo + hi) / 2]))
-    return torus_jacobi(e, dd, n).params
-
-
 def _gap_points(e: FiniteGapSet, G, S, flip: int = 1) -> DirichletData:
     """The Dirichlet data of m = c (sqrt(R) - S)/G, G and S low to high.
 
@@ -450,8 +440,8 @@ def reflectionless_residual(mh: MinimalHerglotz) -> float:
             keep &= np.abs(xs - g) > 1e-6
         xs = xs[keep]
         diff = mh.m(xs) - mh.m_second_sheet(xs)
-        g00 = -1.0 / diff  # a0 = 1; any a0 only rescales the residual
-        worst = max(worst, float(np.abs(g00.real).max()))
+        G00 = -1.0 / diff  # a0 = 1; any a0 only rescales the residual
+        worst = max(worst, float(np.abs(G00.real).max()))
     return worst
 
 
@@ -464,11 +454,13 @@ DM_TOL = 1e-12
 # d_m reads coefficients in blocks of k = 0..DM_BLOCK-1; the search fits the
 # first block
 DM_BLOCK = 32
+# step tolerance of the torus search, in gap positions
+DD_TOL = 1e-6
 # relative forward-difference step of the search's Jacobians
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
-def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
+def d_m(J: JacobiParams, Jp: JacobiParams, m: int) -> float:
     """d_m(J, J') = sum_{k>=0} e^{-k} (|a_{m+k} - a'_{m+k}| + |b_{m+k} - b'_{m+k}|).
 
     Truncated at k_max once the geometric tail bound (sup of coefficient
@@ -476,8 +468,7 @@ def d_m(J: JacobiParams, Jp: JacobiParams, m: int, return_kmax: bool = False):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total, k = _d_from(J, m, Jp, m)
-    return (total, k) if return_kmax else total
+    return _d_from(J, m, Jp, m)[0]
 
 
 def _d_from(J: JacobiParams, m: int, W: JacobiParams, w: int) -> tuple[float, int]:
@@ -518,7 +509,6 @@ class TorusDistance:
     dirichlet: DirichletData
     m: int
     grid_per_gap: int
-    dd_tol: float
     nfev: int
     starts: int
     status: str
@@ -533,7 +523,7 @@ class TorusDistance:
     def to_json(self) -> dict:
         return {"value": self.value, "dirichlet": self.dirichlet.to_json(),
                 "m": self.m, "grid_per_gap": self.grid_per_gap,
-                "dd_tol": self.dd_tol, "nfev": self.nfev, "starts": self.starts,
+                "dd_tol": DD_TOL, "nfev": self.nfev, "starts": self.starts,
                 "status": self.status}
 
 
@@ -668,7 +658,7 @@ def _polish(search: _TorusSearch, x: np.ndarray, tol: float) -> np.ndarray:
 
 
 def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
-                  grid_per_gap: int = 16, dd_tol: float = 1e-6,
+                  grid_per_gap: int = 16,
                   initial: DirichletData | None = None) -> TorusDistance:
     """Approximate inf over torus points of d_m(J, .) by a least-squares search.
 
@@ -684,21 +674,23 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     included, sheets on the two semicircles), and its best points follow
     the site start, 3 starts in all.  When no fit reaches DM_TOL, the best
     end point is polished on the block itself (an L1 sum) by exact
-    linearized steps.  dd_tol is the step tolerance of both stages in gap
+    linearized steps.  DD_TOL is the step tolerance of both stages in gap
     positions.  The value is d_m at the witness, read from its torus point
     at site m, and an upper bound on the true infimum; the grid parameters
     and the search's evaluations, starts and status travel with the result.
-    For a gapless set the torus is one period-1 point and d_m is returned
-    directly.
+    For a gapless set [a_1, b_1] the torus is one period-1 point,
+    a = (b_1 - a_1)/4, b = (a_1 + b_1)/2, and d_m is returned directly.
     """
     if e.ell == 0:
-        point = _torus_params(e, DirichletData((), ()), m)
+        (lo, hi), = e.bands
+        point = JacobiParams(np.empty(0), np.empty(0),
+                             PeriodicTail([(hi - lo) / 4], [(lo + hi) / 2]))
         val = d_m(J, point, m)
-        return TorusDistance(val, DirichletData((), ()), m, grid_per_gap, dd_tol,
+        return TorusDistance(val, DirichletData((), ()), m, grid_per_gap,
                              1, 1, "floor" if val < DM_TOL else "converged", point)
 
     search = _TorusSearch(J, e, m)
-    tol = dd_tol / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
+    tol = DD_TOL / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
         ends = [_fit(search, _angles(e, _move(e, initial, m - 1)), tol)]
     else:
@@ -721,5 +713,5 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     site_dd = dirichlet_from_angles(e, x)
     point = torus_jacobi(e, site_dd, 0).params
     value = _d_from(J, m, point, 1)[0]
-    return TorusDistance(value, _move(e, site_dd, 1 - m), m, grid_per_gap, dd_tol,
+    return TorusDistance(value, _move(e, site_dd, 1 - m), m, grid_per_gap,
                          search.nfev, len(ends), status, point)

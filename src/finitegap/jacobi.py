@@ -181,7 +181,7 @@ def write_coeff_csv(J: JacobiParams, n: int, path):
 
 
 # ---------------------------------------------------------------------------
-# orthonormal polynomials and transfer matrices
+# orthonormal polynomials
 
 
 def _oprl_scaled(J: JacobiParams, n: int, z):
@@ -253,30 +253,6 @@ def oprl_log_abs(J: JacobiParams, n: int, z) -> np.ndarray:
     mant, exp2 = _oprl_scaled(J, n, z)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(mant[1:])) + exp2[1:] * math.log(2.0)
-
-
-def transfer_growth(J: JacobiParams, lam: float, N: int) -> float:
-    """max_{n<=N} ||T_n ... T_1|| (2-norm), with a_0 := 1 for the first step.
-
-    Returns inf when the product overflows double range.
-    """
-    a, b = J.coeffs(N)
-    P = np.eye(2)
-    logmax = 0.0
-    logscale = 0.0
-    for k in range(N):
-        am1 = a[k - 1] if k > 0 else 1.0
-        T = np.array([[(lam - b[k]) / a[k], -am1 / a[k]], [1.0, 0.0]])
-        P = T @ P
-        # exact 2-norm of a 2x2 matrix
-        fro2 = float(np.sum(P * P))
-        det = abs(float(P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]))
-        smax = math.sqrt((fro2 + math.sqrt(max(fro2 * fro2 - 4 * det * det, 0.0))) / 2)
-        logmax = max(logmax, logscale + math.log(smax))
-        if smax > 1e100:
-            P /= smax
-            logscale += math.log(smax)
-    return math.exp(logmax) if logmax < 709 else math.inf
 
 
 # how far a truncation eigenvalue off e may move between the N/2 and N
@@ -397,8 +373,33 @@ class SpectralMeasure:
         return np.concatenate(xs), np.concatenate(ws)
 
     def m(self, z) -> complex:
-        """Stieltjes transform int dmu(x)/(x - z); see m_from_measure."""
-        return m_from_measure(self, z)
+        """m(z) = int dmu(x)/(x - z) for z off the support.
+
+        Band parts are geometric series in the inverse Joukowski variable of
+        each band; point masses are summed exactly.  Raises AccuracyError
+        within min_dist = 1e-8 of the support.
+        """
+        min_dist = 1e-8
+        zv = complex(z)
+        if zv.imag == 0:
+            if dist_to_set(self.set, zv.real) < min_dist:
+                raise AccuracyError(f"z = {z} within {min_dist:g} of the bands")
+        for x, _ in self.point_masses:
+            if abs(zv - x) < min_dist:
+                raise AccuracyError(f"z = {z} within {min_dist:g} of the mass at {x}")
+        e = self.set
+        total = 0j
+        for j in range(e.n_bands):
+            c = self.band_coeffs[j]
+            rad = e.radii[j]
+            zeta = (zv - e.midpoints[j]) / rad
+            u = complex(inv_joukowski(zeta))
+            k = np.arange(1, len(c))
+            series = c[0] + np.sum(c[1:] * u**k) if len(c) > 1 else c[0]
+            total += (-2.0 * np.pi * u / (rad * (1.0 - u * u))) * series
+        for x, w in self.point_masses:
+            total += w / (x - zv)
+        return complex(total)
 
     def to_json(self) -> dict:
         return {"bands": self.set.to_json(),
@@ -439,62 +440,6 @@ def arcsine_measure() -> SpectralMeasure:
     """Equilibrium measure 1/(pi sqrt(4-x^2)) dx of [-2, 2]."""
     e = make_band_set([-2.0, 2.0])
     return measure_from_theta_density(e, lambda j, th: np.full_like(th, 1.0 / np.pi))
-
-
-def m_from_measure(mu: SpectralMeasure, z) -> complex:
-    """m(z) = int dmu(x)/(x - z) for z off the support.
-
-    Band parts are geometric series in the inverse Joukowski variable of each
-    band; point masses are summed exactly.  Raises AccuracyError within
-    min_dist = 1e-8 of the support.
-    """
-    min_dist = 1e-8
-    zv = complex(z)
-    if zv.imag == 0:
-        if dist_to_set(mu.set, zv.real) < min_dist:
-            raise AccuracyError(f"z = {z} within {min_dist:g} of the bands")
-    for x, _ in mu.point_masses:
-        if abs(zv - x) < min_dist:
-            raise AccuracyError(f"z = {z} within {min_dist:g} of the mass at {x}")
-    e = mu.set
-    total = 0j
-    for j in range(e.n_bands):
-        c = mu.band_coeffs[j]
-        rad = e.radii[j]
-        zeta = (zv - e.midpoints[j]) / rad
-        u = complex(inv_joukowski(zeta))
-        k = np.arange(1, len(c))
-        series = c[0] + np.sum(c[1:] * u**k) if len(c) > 1 else c[0]
-        total += (-2.0 * np.pi * u / (rad * (1.0 - u * u))) * series
-    for x, w in mu.point_masses:
-        total += w / (x - zv)
-    return complex(total)
-
-
-def g00(a0: float, m_plus: complex, m_minus: complex) -> complex:
-    """Whole-line diagonal Green's function from half-line m-functions,
-    <delta_0, (J-z)^{-1} delta_0> = -(a0^2 m_+ - 1/m_-)^{-1}.
-
-    A vanishing denominator is a pole of G00: complex infinity is returned
-    rather than raising.  A pole of m_- (pass complex infinity) drops the
-    1/m_- term, leaving -1/(a0^2 m_+).
-    """
-    if m_minus == 0:
-        return complex(0.0)
-    inv_minus = 0.0 if not np.isfinite(m_minus) else 1.0 / m_minus
-    den = a0 * a0 * m_plus - inv_minus
-    if den == 0:
-        return complex(math.inf, 0.0)
-    return -1.0 / den
-
-
-def g00_shifted(z: complex, b0: float, a0: float, m_plus: complex,
-                a_minus1: float, m_minus_tilde: complex) -> complex:
-    """Variant -(z - b0 + a0^2 m_+ + a_{-1}^2 mtilde_-)^{-1}."""
-    den = z - b0 + a0 * a0 * m_plus + a_minus1 * a_minus1 * m_minus_tilde
-    if den == 0:
-        return complex(math.inf, 0.0)
-    return -1.0 / den
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,6 @@ def gap_zeros_from_discrete_density(bands, x, h, bi, rho):
     return np.sort(np.roots(np.concatenate([c, [1.0]])[::-1]).real)
 
 
-def single_band_capacity(a, b):
-    """cap([a,b]) = (b-a)/4."""
-    return (b - a) / 4
-
-
 def symmetric_two_band_capacity(a, b):
     """cap([-b,-a] u [a,b]) = sqrt(b^2 - a^2)/2, via u = x^2."""
     return np.sqrt(b * b - a * a) / 2
@@ -127,15 +122,6 @@ def m_arcsine(z):
     """Stieltjes transform of the arcsine measure: -1/sqrt(z^2-4)."""
     z = np.asarray(z, complex)
     return -1.0 / (np.sqrt(z - 2) * np.sqrt(z + 2))
-
-
-def free_pn(z, n):
-    """p_n for the free matrix: (u^{n+1} - u^{-(n+1)})/(u - 1/u), z = u + 1/u."""
-    z = complex(z)
-    u = (z + np.sqrt(complex(z * z - 4))) / 2
-    if abs(u) < 1:
-        u = 1 / u
-    return (u ** (n + 1) - u ** -(n + 1)) / (u - 1 / u)
 
 
 def root_product_mp(t, roots, dps=50):

@@ -57,6 +57,17 @@ def test_unknown_keys_rejected(tmp_path):
     assert rc == 2
 
 
+def test_measure_spec_rejects_dead_band(tmp_path, capsys):
+    # a dead band cut out of a normalized base leaves mass below 1, so no
+    # measure spec can carry one
+    rc, files = run_fresh(tmp_path, "sumrule", {
+        "experiment": "three_condition", "bands": [[-2, 2]], "which_two": ["a", "c"],
+        "measure": {"base": "semicircle", "dead_band": [0.2, 0.8]},
+        "n_strip": 64, "n_trunc": 256})
+    assert rc == 2 and files == []
+    assert "unknown config keys ['dead_band'] in measure spec" in capsys.readouterr().err
+
+
 def test_missing_config_exit_3(tmp_path):
     rc = main(["eqm", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path), "--quiet"])
@@ -185,6 +196,27 @@ def test_version_and_hash_embedded(tmp_path):
     assert len(doc["config_sha256"]) == 64
     first = (tmp_path / "eqm_grid.csv").read_text().splitlines()[0]
     assert doc["config_sha256"] in first
+
+
+def test_readme_configs_run(tmp_path):
+    # every config of the README's "Config shapes" block, under the command
+    # its comment names, exits 0, so the documented keys cannot drift from
+    # the keys the CLI accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    configs = []
+    for chunk in block.strip().split("\n\n"):
+        lines = chunk.splitlines()
+        command = re.match(r"// (\w+)", lines[0]).group(1)
+        configs.append((command, json.loads("\n".join(
+            ln for ln in lines if not ln.startswith("//")))))
+    assert [c for c, _ in configs] == ["eqm", "torus", "oprl", "perturb",
+                                       "sumrule", "distance"]
+    for command, config in configs:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--out", str(tmp_path / "out"), "--quiet",
+                     "--config", str(cfg)]) == 0, command
 
 
 def test_documented_global_flags_match_parser():
@@ -339,8 +371,6 @@ def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
                  "jacobi": {"torus": 5}}),
     ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
                  "measure": {"atoms": [[None, 0.1]]}}),
-    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
-                 "measure": {"dead_band": 5}}),
     ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
                  "k_vector": None}),
     ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
@@ -348,7 +378,7 @@ def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
     ("oprl", {"z": [None]}),
     ("oprl", {"z": 5}),
 ], ids=["amplitude_null", "which_two_int", "torus_spec_int", "atoms_null",
-        "dead_band_int", "k_vector_null", "k_list_int", "z_item_null", "z_int"])
+        "k_vector_null", "k_list_int", "z_item_null", "z_int"])
 def test_wrong_json_type_exit_2_no_files(tmp_path, capsys, command, config):
     rc, files = run_fresh(tmp_path, command, config)
     assert rc == 2 and files == []

@@ -387,7 +387,8 @@ def test_dm_metric_axioms():
 
 
 def test_dm_kmax_reported():
-    val, kmax = fg.d_m(fg.free_jacobi(), fg.free_jacobi(), 1, return_kmax=True)
+    J = fg.free_jacobi()
+    val, kmax = fg.isotorus._d_from(J, 1, J, 1)
     assert val == 0.0 and kmax >= 25
 
 

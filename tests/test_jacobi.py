@@ -637,62 +637,3 @@ def test_strip_provider_shared_between_threads(monkeypatch):
                 assert np.array_equal(a, ref_a[:n]) and np.array_equal(b, ref_b[:n])
     finally:
         sys.setswitchinterval(old)
-
-
-# ---------------------------------------------------------------------------
-# G00 assembly
-
-
-def test_g00_free_closed_form():
-    z = 3.0
-    mfree = complex(oracles.m_free(z))
-    val = fg.g00(1.0, mfree, mfree)
-    assert val == pytest.approx(-1 / np.sqrt(5), abs=1e-12)
-
-
-def test_g00_m_minus_pole():
-    z = 3.0 + 0.1j
-    mp = complex(oracles.m_free(z))
-    val = fg.g00(1.2, mp, complex(np.inf))
-    assert val == pytest.approx(-1 / (1.44 * mp), abs=1e-12)
-
-
-def test_g00_forms_agree():
-    # (3.5b) and (3.5d) with matching free half-line data
-    for z in (3.0, 2.4 + 1.1j, -5.0 + 0.3j):
-        mfree = complex(oracles.m_free(z))
-        v1 = fg.g00(1.0, mfree, mfree)
-        v2 = fg.g00_shifted(z, 0.0, 1.0, mfree, 1.0, mfree)
-        assert v1 == pytest.approx(v2, abs=1e-10)
-        assert v1 == pytest.approx(complex(-1.0)
-                                   / (np.sqrt(complex(z - 2)) * np.sqrt(complex(z + 2))),
-                                   abs=1e-10)
-
-
-def test_g00_pole_signal():
-    assert np.isinf(fg.g00(1.0, 0.0, complex(np.inf)).real)
-
-
-# ---------------------------------------------------------------------------
-# transfer matrices
-
-
-def test_transfer_free_interior():
-    g = fg.transfer_growth(fg.free_jacobi(), 0.0, 10000)
-    assert g <= 2.0
-
-
-def test_transfer_free_outside_grows():
-    g = fg.transfer_growth(fg.free_jacobi(), 3.0, 50)
-    u = (3 + np.sqrt(5)) / 2
-    assert g >= u**49 / 10
-
-
-def test_transfer_l1_perturbation_bounded():
-    rng = np.random.default_rng(9)
-    delta = 0.2 * rng.uniform(-1, 1, 3000) / np.arange(1, 3001) ** 1.5
-    J = fg.JacobiParams(1.0 + np.abs(delta), delta)
-    l1 = float(np.sum(np.abs(delta) + np.abs(delta)))
-    g_free = fg.transfer_growth(fg.free_jacobi(), 0.0, 3000)
-    g = fg.transfer_growth(J, 0.0, 3000)
-    assert g <= g_free * np.exp(4.0 * l1) + 1e-9
