@@ -341,13 +341,13 @@ def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     return TorusPoint(e, dd, n=n)
 
 
-def _gap_points(e: FiniteGapSet, G, S, flip: int = 1) -> DirichletData:
+def _gap_points(e: FiniteGapSet, G, S) -> DirichletData:
     """The Dirichlet data of m = c (sqrt(R) - S)/G, G and S low to high.
 
     gamma_j is G's root in gap j; its sheet solves S(gamma_j) = -sigma_j
-    rho_j, sign(rho_j) = (-1)^(l - j), with every sheet times flip.  A root
-    within 1e-9 of its gap's length outside the closed gap is clipped into
-    it; a root that is not real, or lies farther out, raises AccuracyError.
+    rho_j, sign(rho_j) = (-1)^(l - j).  A root within 1e-9 of its gap's
+    length outside the closed gap is clipped into it; a root that is not
+    real, or lies farther out, raises AccuracyError.
     """
     roots = np.roots(np.asarray(G, float)[::-1])
     if roots.imag.any():
@@ -361,36 +361,30 @@ def _gap_points(e: FiniteGapSet, G, S, flip: int = 1) -> DirichletData:
                                 f"= [{beta}, {alpha}]")
         g = min(max(g, beta), alpha)
         side = P.polyval(g, S) * (-1) ** (e.ell - j)
-        entries.append((g, -flip if side > 0 else flip))
+        entries.append((g, -1 if side > 0 else 1))
     return dirichlet_data(e, entries)
 
 
 def _move(e: FiniteGapSet, dd: DirichletData, k: int) -> DirichletData:
-    """The Dirichlet data k sites on along the torus (back for k < 0).
-
-    After k exact steps the data is read from the stepper's G and S by
-    _gap_points.  As n -> -n swaps the half-lines, k back is k on with all
-    sheets flipped (Teschl).
-    """
+    """The Dirichlet data k >= 0 sites on along the torus, read by
+    _gap_points from the stepper's G and S after k exact steps."""
     if k == 0:
         return dd
-    flip = 1 if k > 0 else -1
-    step = _StrippingTail(minimal_herglotz(
-        e, DirichletData(dd.gammas, tuple(flip * s for s in dd.sheets))))
-    step(0, abs(k))
-    return _gap_points(e, step.G, step.S, flip)
+    step = _StrippingTail(minimal_herglotz(e, dd))
+    step(0, k)
+    return _gap_points(e, step.G, step.S)
 
 
-def _site_start(e: FiniteGapSet, a: np.ndarray, b: np.ndarray) -> DirichletData | None:
-    """The torus point whose m-function agrees with J's through the
-    z^-(l+1) term of sqrt(R), from J's coefficients a, b at this site.
+def _site_start(e: FiniteGapSet, a, b, k: int = 0) -> DirichletData | None:
+    """k sites on from the torus point whose m-function agrees with J's
+    through the z^-(l+1) term of sqrt(R), at the site of J's a, b.
 
     The moments mu_i = <delta_1, T^i delta_1>, i <= 2l + 1, are exact on the
     (l+2) x (l+2) section T.  With sqrt(R) = z^(l+1) sum_k f_k z^-k and
     u = G/c, the z^-q coefficients of u m = sqrt(R) - S, q = 1..l+1, are
     -sum_i mu_(i+q-1) u_i = f_(l+1+q): one Hankel solve.  Then G = u/u_l
     and S_p = f_(l+1-p) + sum_(i>p) u_i mu_(i-1-p).  None when the solve is
-    singular or _gap_points rejects G's roots.
+    singular, _gap_points rejects G's roots or the move fails.
     """
     ell = e.ell
     n = ell + 2
@@ -417,7 +411,7 @@ def _site_start(e: FiniteGapSet, a: np.ndarray, b: np.ndarray) -> DirichletData 
     S = [f[ell + 1 - p] + sum(u[i] * mu[i - 1 - p] for i in range(p + 1, ell + 1))
          for p in range(ell + 2)]
     try:
-        return _gap_points(e, u / u[ell], S)
+        return _move(e, _gap_points(e, u / u[ell], S), k)
     except AccuracyError:
         return None
 
@@ -498,11 +492,11 @@ def _d_from(J: JacobiParams, m: int, W: JacobiParams, w: int) -> tuple[float, in
 class TorusDistance:
     """Result of dist_to_torus: an upper bound on the infimum plus the witness.
 
-    nfev counts the objective evaluations of the search, starts the starts
-    it ran from; status is "floor" when a start reached d_m below DM_TOL
-    and "converged" when the L1 polish stopped above it.  point is the
-    witness's torus point at site m (its coefficient k is the witness's
-    coefficient m - 1 + k); it is not part of to_json.
+    The witness is site-m data: dirichlet, whose torus point is point, so
+    point's coefficient k faces J's coefficient m - 1 + k (point is not
+    part of to_json).  nfev counts the objective evaluations of the search,
+    starts the starts it ran from; status is "floor" when a start reached
+    d_m below DM_TOL and "converged" when the L1 polish stopped above it.
     """
 
     value: float
@@ -662,24 +656,24 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
                   initial: DirichletData | None = None) -> TorusDistance:
     """Approximate inf over torus points of d_m(J, .) by a least-squares search.
 
-    The torus is searched in the gap-circle angles of dirichlet_from_angles
-    at site m (initial and the witness are site-1 data, moved by _move).
-    With initial, it is the one start.  Otherwise the first start is the
-    site start, the torus point that J's own coefficients at site m fix
-    (_site_start).  From a start whose block is not below DM_TOL,
-    Levenberg-Marquardt fits the e^{-k/2}-weighted first block of d_m; the
-    search ends at the first start or fit whose block is below DM_TOL.
-    Only when the site start's fit ends above it, or there is no site
-    start, is a product grid evaluated (grid_per_gap angles per gap, edges
-    included, sheets on the two semicircles), and its best points follow
-    the site start, 3 starts in all.  When no fit reaches DM_TOL, the best
-    end point is polished on the block itself (an L1 sum) by exact
+    The torus is searched at site m in the gap-circle angles of
+    dirichlet_from_angles; initial and the witness are site-m data too.  With
+    initial, it is the one start.  Otherwise the first start is the site
+    start, the torus point that J's own coefficients at site m fix, or else
+    those at site m - 1 moved one site on (_site_start).  From a start whose
+    block is not below DM_TOL, Levenberg-Marquardt fits the e^{-k/2}-weighted
+    first block of d_m; the search ends at the first start or fit whose block
+    is below DM_TOL.  Only when the site start's fit ends above it, or there
+    is no site start, is a product grid evaluated (grid_per_gap angles per
+    gap, edges included, sheets on the two semicircles), and its best points
+    follow the site start, 3 starts in all.  When no fit reaches DM_TOL, the
+    best end point is polished on the block itself (an L1 sum) by exact
     linearized steps.  DD_TOL is the step tolerance of both stages in gap
-    positions.  The value is d_m at the witness, read from its torus point
-    at site m, and an upper bound on the true infimum; the grid parameters
-    and the search's evaluations, starts and status travel with the result.
-    For a gapless set [a_1, b_1] the torus is one period-1 point,
-    a = (b_1 - a_1)/4, b = (a_1 + b_1)/2, and d_m is returned directly.
+    positions.  The value is d_m at the witness and an upper bound on the true
+    infimum; the grid parameters and the search's evaluations, starts and
+    status travel with the result.  For a gapless set [a_1, b_1] the torus is
+    one period-1 point, a = (b_1 - a_1)/4, b = (a_1 + b_1)/2, and d_m is
+    returned directly.
     """
     if e.ell == 0:
         (lo, hi), = e.bands
@@ -692,9 +686,12 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     search = _TorusSearch(J, e, m)
     tol = DD_TOL / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
-        ends = [_fit(search, _angles(e, _move(e, initial, m - 1)), tol)]
+        ends = [_fit(search, _angles(e, initial), tol)]
     else:
         site = _site_start(e, search.a, search.b)
+        if site is None and m > 1:
+            a, b = J.coeffs(m + e.ell)
+            site = _site_start(e, a[m - 2:], b[m - 2:], 1)
         ends = [] if site is None else [_fit(search, _angles(e, site), tol)]
         if not ends or search.value(ends[0]) >= DM_TOL:
             angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
@@ -713,5 +710,5 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     site_dd = dirichlet_from_angles(e, x)
     point = torus_jacobi(e, site_dd, 0).params
     value = _d_from(J, m, point, 1)[0]
-    return TorusDistance(value, _move(e, site_dd, 1 - m), m, grid_per_gap,
-                         search.nfev, len(ends), status, point)
+    return TorusDistance(value, site_dd, m, grid_per_gap, search.nfev,
+                         len(ends), status, point)

@@ -21,7 +21,7 @@ import numpy as np
 from .bandset import (EquilibriumData, FiniteGapSet, dist_to_set,
                       solve_equilibrium)
 from .errors import MeasureError
-from .isotorus import dist_to_torus, torus_jacobi
+from .isotorus import _move, dist_to_torus, torus_jacobi
 from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, _Extension,
                      free_jacobi, oprl_scaled_last, strip_coefficients,
                      truncation_eigenvalues_outside)
@@ -541,7 +541,8 @@ def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
                     return_sequence: bool = False):
     """(1/M) sum_{m=1..M} d_m(J, T_e)^2.
 
-    dist_to_torus runs per m, warm-started at the previous argmin; for a
+    dist_to_torus runs per m; from m = 2 on it starts at the previous
+    site's witness moved one site on, one exact stripping step.  For a
     gapless set it returns d_m against the set's one period-1 point.
     """
     dms = np.empty(M)
@@ -549,7 +550,7 @@ def cesaro_distance(J: JacobiParams, e: FiniteGapSet, M: int,
     for m in range(1, M + 1):
         res = dist_to_torus(J, e, m, initial=witness)
         dms[m - 1] = res.value
-        witness = res.dirichlet
+        witness = _move(e, res.dirichlet, 1)
     avg = float(np.mean(dms**2))
     return (avg, dms) if return_sequence else avg
 

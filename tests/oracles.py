@@ -313,11 +313,11 @@ def stripping_tail_plain(mh, n):
     return StrippingTailPlain(mh)(0, n)
 
 
-def dist_to_torus_powell(J, e, m, grid_per_gap=16, dd_tol=1e-6, initial=None):
+def dist_to_torus_powell(J, e, m, grid_per_gap=16, dd_tol=1e-6):
     """The grid + Powell route to inf_T d_m(J, T): a product grid over the gap
-    circles (or initial alone), then Powell's method on the circle angles
-    with d_m of a full torus point as the objective (the library fits the
-    first d_m block by least squares and polishes it as an L1 sum).
+    circles, then Powell's method on the circle angles with d_m of a full
+    torus point as the objective (the library fits the first d_m block by
+    least squares and polishes it as an L1 sum).
     Returns (value, DirichletData, objective evaluations)."""
     import itertools
     from scipy.optimize import minimize
@@ -330,22 +330,13 @@ def dist_to_torus_powell(J, e, m, grid_per_gap=16, dd_tol=1e-6, initial=None):
         dd = fg.dirichlet_from_angles(e, phis)
         return fg.d_m(J, fg.torus_jacobi(e, dd, m).params, m)
 
-    if initial is not None:
-        mids = np.array([(e.gap(j)[0] + e.gap(j)[1]) / 2 for j in range(e.ell)])
-        rads = np.array([(e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell)])
-        cosphi = np.clip((mids - np.asarray(initial.gammas)) / rads, -1, 1)
-        best_phis = np.arccos(cosphi)
-        best_phis = np.where(np.asarray(initial.sheets) < 0,
-                             2 * np.pi - best_phis, best_phis)
-        best_val = objective(best_phis)
-    else:
-        best_val, best_phis = math.inf, None
-        angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-        for phis in itertools.product(angles, repeat=e.ell):
-            phis = np.array(phis)
-            val = objective(phis)
-            if val < best_val:
-                best_val, best_phis = val, phis
+    best_val, best_phis = math.inf, None
+    angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
+    for phis in itertools.product(angles, repeat=e.ell):
+        phis = np.array(phis)
+        val = objective(phis)
+        if val < best_val:
+            best_val, best_phis = val, phis
     phis = np.array(best_phis, float)
     max_rad = max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     res = minimize(objective, phis, method="Powell",

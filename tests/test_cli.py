@@ -115,6 +115,21 @@ def test_perturb_and_distance_pipeline(tmp_path):
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)  # free beyond index 1
 
 
+def test_perturb_oscillatory_phase_is_read(tmp_path):
+    # the perturbation spec passes phase through to Oscillatory
+    spec = {"kind": "oscillatory", "theta": 0.3, "amplitude": 0.1,
+            "decay": 1.0, "phase": 0.2, "target": "b"}
+    assert run(tmp_path, "perturb", {"base": "free", "perturbation": spec,
+                                     "n": 16}) == 0
+    doc = json.loads((tmp_path / "perturb.json").read_text())
+    assert doc["perturbation"]["phase"] == 0.2
+    rows = np.loadtxt(tmp_path / "perturb_coeffs.csv", delimiter=",",
+                      skiprows=2)
+    n = np.arange(1, 17)
+    assert np.allclose(rows[:, 4], 0.1 * np.cos(2 * np.pi * 0.3 * n + 0.2) / n,
+                       rtol=0, atol=1e-15)
+
+
 def test_distance_torus_self(tmp_path):
     s5 = float(np.sqrt(5))
     bands = [[-s5, -1], [1, s5]]

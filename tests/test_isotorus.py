@@ -4,6 +4,7 @@ from pathlib import Path
 import sys
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -438,7 +439,9 @@ def test_dist_two_gap_product_grid():
     tp = fg.torus_jacobi(e, dd, 48)
     res = fg.dist_to_torus(tp.params, e, 2, grid_per_gap=6)
     assert res.value < 1e-3
-    assert np.abs(np.array(res.dirichlet.gammas) - [-0.6, 0.7]).max() < 0.05
+    # the witness is site-2 data: dd moved one site on
+    want = fg.isotorus._move(e, dd, 1)
+    assert np.abs(np.subtract(res.dirichlet.gammas, want.gammas)).max() < 0.05
 
 
 E6 = fg.make_band_set([-2, -1, -0.3, 0.4, 1.1, 2])
@@ -488,14 +491,30 @@ def test_dist_cold_start_finds_torus_point(seed, m, grid):
     J = fg.torus_jacobi(E6, dd, 48).params
     res = fg.dist_to_torus(J, E6, m, grid_per_gap=grid)
     assert res.value <= 1e-12
-    assert res.dirichlet.sheets == dd.sheets
-    assert np.abs(np.array(res.dirichlet.gammas) - dd.gammas).max() < 1e-8
+    want = fg.isotorus._move(E6, dd, m - 1)
+    assert res.dirichlet.sheets == want.sheets
+    assert np.abs(np.subtract(res.dirichlet.gammas, want.gammas)).max() < 1e-8
+
+
+@pytest.mark.parametrize("ell, set_seed, dd_seed, m", [(1, 1001, 1, 200),
+                                                     (4, 4000, 0, 48)])
+def test_witness_reproduces_the_value(ell, set_seed, dd_seed, m):
+    # the reported data is the site-m point that the value is read from, so
+    # the witness rebuilt from the JSON gives the value bit for bit
+    e = random_band_set(np.random.default_rng(set_seed), ell)
+    J = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(dd_seed)),
+                        48).params
+    res = fg.dist_to_torus(J, e, m, grid_per_gap=4)
+    dd = fg.DirichletData.from_json(res.to_json()["dirichlet"])
+    W = fg.torus_jacobi(e, dd, 0).params
+    assert fg.isotorus._d_from(J, m, W, 1)[0] == res.value
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_site_moves_round_trip(ell):
-    # k sites on and k back return the data; k sites on is the torus point
-    # whose coefficients are the original's from index k + 1 on
+    # moves compose: k sites on and then j more is k + j sites on; k sites
+    # on is the torus point whose coefficients are the original's from
+    # index k + 1 on
     move = fg.isotorus._move
     for s in range(2):
         e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
@@ -505,12 +524,13 @@ def test_site_moves_round_trip(ell):
             a, b = fg.torus_jacobi(e, dd, 240).params.coeffs(240)
             for k in (1, 7, 50, 200):
                 on = move(e, dd, k)
-                back = move(e, on, -k)
-                assert np.abs(np.subtract(back.gammas, dd.gammas)).max() \
-                    < 1e-9 * shortest, (ell, s, dd, k)
-                for j, g in enumerate(dd.gammas):
-                    if g not in e.gap(j):
-                        assert back.sheets[j] == dd.sheets[j], (ell, s, dd, k)
+                for j in (1, 7):
+                    got, want = move(e, on, j), move(e, dd, k + j)
+                    assert np.abs(np.subtract(got.gammas, want.gammas)).max() \
+                        < 1e-9 * shortest, (ell, s, dd, k, j)
+                    for i, g in enumerate(want.gammas):
+                        if g not in e.gap(i):
+                            assert got.sheets[i] == want.sheets[i], (ell, s, dd, k, j)
                 ak, bk = fg.torus_jacobi(e, on, 40).params.coeffs(40)
                 assert np.abs(ak - a[k:k + 40]).max() < 1e-9
                 assert np.abs(bk - b[k:k + 40]).max() < 1e-9
@@ -573,6 +593,42 @@ def test_site_start_fit_before_the_grid(ell, seed, edge):
     res = fg.dist_to_torus(J, e, 1)
     assert res.status == "floor" and res.nfev <= 20 and res.starts == 1, res
     assert res.value < fg.isotorus.DM_TOL
+
+
+def discriminant_set(a, b):
+    """Delta^-1([-2, 2]) for the periodic coefficients a, b: the band edges
+    are the real roots of Delta -+ 2, Delta the trace of the monodromy of
+    a_n p_(n+1) + b_n p_n + a_(n-1) p_(n-1) = z p_n over one period."""
+    M = [[[1.0], [0.0]], [[0.0], [1.0]]]
+    for n in range(len(a)):
+        T = [[np.array([-b[n], 1.0]) / a[n], [-a[n - 1] / a[n]]], [[1.0], [0.0]]]
+        M = [[P.polyadd(P.polymul(T[i][0], M[0][j]), P.polymul(T[i][1], M[1][j]))
+              for j in range(2)] for i in range(2)]
+    delta = P.polyadd(M[0][0], M[1][1])
+    ends = np.concatenate([P.polyroots(P.polysub(delta, [s])) for s in (2.0, -2.0)])
+    return fg.make_band_set(np.sort(ends.real))
+
+
+def test_dist_site_start_from_the_site_before():
+    # a period-4 set (l = 3) and a torus point perturbed on its first 300
+    # coefficients: at m = 20 J's coefficients fix no site start, and the
+    # three best grid-4 points all led to a wrong basin at 0.370; the site
+    # start at m - 1, moved one site on, finds what grid 8 finds
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.6, 1.4, 4)
+    e = discriminant_set(a, rng.uniform(-1, 1, 4))
+    assert e.ell == 3
+    tp = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(7)), 300)
+    a, b = tp.params.coeffs(300)
+    k = np.arange(300)
+    J = fg.JacobiParams(a + 0.3 * np.exp(-k / 6) * np.cos(k),
+                        b + 0.3 * np.exp(-k / 6) * np.sin(1.7 * k),
+                        fg.jacobi.ExtendTail(tp.params.tail.cache, 300))
+    m = 20
+    a, b = J.coeffs(m + e.ell + 1)
+    assert fg.isotorus._site_start(e, a[m - 1:], b[m - 1:]) is None
+    grid4 = fg.dist_to_torus(J, e, m, grid_per_gap=4).value
+    assert grid4 <= 1.1 * fg.dist_to_torus(J, e, m, grid_per_gap=8).value
 
 
 @pytest.mark.parametrize("ell, seed", [(3, 300), (4, 400)])

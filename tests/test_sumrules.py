@@ -764,6 +764,23 @@ def test_cesaro_free_torus_point():
     assert fg.cesaro_distance(fg.free_jacobi(), E2, 20) == 0.0
 
 
+def test_cesaro_work_is_linear_in_M(monkeypatch, period2_set, period2_torus):
+    # each m starts at the last witness moved one stripping step on; moving
+    # it m - 1 sites back and m - 1 on again took 16 321 steps at M = 100
+    steps = 0
+    step = fg.isotorus._StrippingTail._step
+
+    def counted(self, index):
+        nonlocal steps
+        steps += 1
+        return step(self, index)
+
+    monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
+    M = 100
+    assert fg.cesaro_distance(period2_torus.params, period2_set, M) < 1e-6
+    assert steps <= 70 * M, steps
+
+
 def test_cesaro_decay_slow_oscillation():
     # light version of acceptance criterion 10
     n = np.arange(1, 200)
@@ -831,9 +848,9 @@ def test_three_condition_approach_is_measured(eq_twoband):
 def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     # 0.9 equilibrium + 0.1 delta_atom on P2: the 8-point grid minimum read
     # 0.21-0.45 at both N here; the search finds the torus point at its site
-    # start.  It steps 32 times for that evaluation, N/2 - 1 to move the
-    # witness back to site 1 and N/2 + 32 to read its site-N/2 point to
-    # N + 31 for both deviations; building the witness twice took 605-765
+    # start.  It steps 32 times for that evaluation and N/2 + 32 to read the
+    # witness's site-N/2 point to N + 31 for both deviations; moving the
+    # witness back to site 1 added N/2 - 1, building it twice took 605-765
     steps = 0
     step = fg.isotorus._StrippingTail._step
 
@@ -852,7 +869,7 @@ def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     assert max(q["value"]) < 1e-12
     assert rep.verdicts["approach_to_torus"]
     assert q["params"]["nfev"] == 1
-    assert steps <= 32 + (96 // 2 - 1) + (96 // 2 + 32) == 159
+    assert steps <= 32 + (96 // 2 + 32) == 112
 
 
 def test_three_condition_gapless_set_off_the_free_point():
