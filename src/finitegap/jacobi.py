@@ -446,52 +446,83 @@ def arcsine_measure() -> SpectralMeasure:
 # coefficient stripping (discretized Stieltjes plus one RKPW update per atom)
 
 
-def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
-    """First N recursion coefficients of the discrete measure sum w_i delta_{x_i}.
+class _Stieltjes:
+    """Normalized discretized Stieltjes on the discrete measure
+    sum w_i delta_{x_i}, as a pass that can be resumed.
 
-    Normalized discretized Stieltjes with level-1 BLAS on sqrt(w)-scaled
-    vectors: the three-term recursion runs on q_k = sqrt(w) p_k, so every
-    inner product is one ddot; three length-M buffers rotate between the
-    steps, no reorthogonalization, O(N M).  Returns (a_1..a_N, b_1..b_N) for
-    the normalized measure.  Raises MeasureError on a negative or non-finite
-    weight (a truncated cosine series can dip below zero), and AccuracyError
-    when fewer than N + 1 nodes carry positive weight: with K such nodes
-    a_K vanishes in exact arithmetic, and past it the recursion runs on
-    rounding noise.
+    The three-term recursion runs with level-1 BLAS on sqrt(w)-scaled
+    vectors q_k = sqrt(w) p_k, so every inner product is one ddot; three
+    buffers rotate between the steps, no reorthogonalization, O(n M) for n
+    coefficients.  It runs on the support: nodes of weight zero add nothing
+    to an inner product and are dropped.  coeffs(n) runs only the steps no
+    earlier read ran, so a prefix equals the same prefix of a longer run bit
+    for bit.  Coefficients are those of the normalized measure; mass is the
+    total weight.
+
+    Raises ValueError when the grid has no more nodes than the N coefficients
+    it is made for, MeasureError on a negative or non-finite weight (a
+    truncated cosine series can dip below zero), and AccuracyError when fewer
+    than N + 1 nodes carry positive weight (checked again for a longer read):
+    with K such nodes a_K vanishes in exact arithmetic, and past it the
+    recursion runs on rounding noise.
     """
-    from scipy.linalg.blas import daxpy, ddot, dscal
 
-    M = len(nodes)
-    if N + 1 > M:
-        raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
-    bad = ~np.isfinite(weights) | (weights < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MeasureError(f"discretized weight {weights[i]} at node {nodes[i]} "
-                           "is negative or not finite")
-    support = np.count_nonzero(weights)
-    if support < N + 1:
-        raise AccuracyError(f"Stieltjes broke down at step {max(support, 1)}: "
-                            f"{support} nodes carry positive weight, "
-                            f"{N + 1} needed")
-    a = np.zeros(N)
-    b = np.zeros(N)
-    q = np.sqrt(weights / weights.sum())
-    q_prev, v = np.zeros(M), np.empty(M)
-    for k in range(N):
-        np.multiply(nodes, q, out=v)
-        b[k] = ddot(q, v)
-        daxpy(q, v, a=-b[k])
-        if k:
-            daxpy(q_prev, v, a=-a[k - 1])
-        nrm2 = ddot(v, v)
-        if not nrm2 > 0:
-            raise AccuracyError(f"Stieltjes broke down at step {k + 1}: "
-                                "discretization too coarse")
-        a[k] = math.sqrt(nrm2)
-        dscal(1.0 / a[k], v)
-        q_prev, q, v = q, v, q_prev
-    return a, b
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, N: int):
+        M = len(nodes)
+        if N + 1 > M:
+            raise ValueError(f"need more nodes ({M}) than coefficients ({N})")
+        bad = ~np.isfinite(weights) | (weights < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MeasureError(f"discretized weight {weights[i]} at node {nodes[i]} "
+                               "is negative or not finite")
+        keep = weights > 0
+        self.support = int(np.count_nonzero(keep))
+        self._check(N)
+        self.mass = weights.sum()
+        q = np.sqrt(weights / self.mass)
+        if self.support < M:
+            nodes, q = nodes[keep], q[keep]
+        self.nodes = nodes
+        self.q, self.q_prev, self.v = q, np.zeros(len(q)), np.empty(len(q))
+        self.a, self.b = [], []
+
+    def _check(self, N: int):
+        if self.support < N + 1:
+            raise AccuracyError(f"Stieltjes broke down at step {max(self.support, 1)}: "
+                                f"{self.support} nodes carry positive weight, "
+                                f"{N + 1} needed")
+
+    def coeffs(self, n: int):
+        """(a_1..a_n, b_1..b_n), stepping on from where the last read stopped."""
+        a, b = self.a, self.b
+        if n > len(a):
+            from scipy.linalg.blas import daxpy, ddot, dscal
+
+            self._check(n)
+            nodes, q, q_prev, v = self.nodes, self.q, self.q_prev, self.v
+            for k in range(len(a), n):
+                np.multiply(nodes, q, out=v)
+                bk = ddot(q, v)
+                daxpy(q, v, a=-bk)
+                if k:
+                    daxpy(q_prev, v, a=-a[k - 1])
+                nrm2 = ddot(v, v)
+                if not nrm2 > 0:
+                    raise AccuracyError(f"Stieltjes broke down at step {k + 1}: "
+                                        "discretization too coarse")
+                a.append(math.sqrt(nrm2))
+                b.append(bk)
+                dscal(1.0 / a[k], v)
+                q_prev, q, v = q, v, q_prev
+            self.q, self.q_prev, self.v = q, q_prev, v
+        return np.array(a[:n]), np.array(b[:n])
+
+
+def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
+    """First N recursion coefficients (a_1..a_N, b_1..b_N) of the normalized
+    discrete measure sum w_i delta_{x_i}: one _Stieltjes pass read to N."""
+    return _Stieltjes(nodes, weights, N).coeffs(N)
 
 
 def _rkpw(b, beta, x: float, w: float):
@@ -521,25 +552,39 @@ def _rkpw(b, beta, x: float, w: float):
     return b, beta
 
 
-def _stieltjes_rkpw(nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int):
-    """First N recursion coefficients of a discretized measure whose last
-    n_atoms entries are point masses.
+class _StripPass:
+    """Coefficients of a discretized measure whose last n_atoms entries are
+    point masses, as a pass that can be resumed.
 
     Stieltjes on the other (band) nodes gives the Jacobi matrix of order
-    N + 1, i.e. the (N + 1)-point Gauss rule of the band part; each atom is
+    n + 1, i.e. the (n + 1)-point Gauss rule of the band part; each atom is
     then added to that rule by one RKPW update.  The Gauss rule matches the
-    band moments through degree 2N + 1, so a_1..a_N, b_1..b_N are those of
+    band moments through degree 2n + 1, so a_1..a_n, b_1..b_n are those of
     the discretized measure.  Plain Stieltjes on all nodes breaks down once
-    an atom sits off the bands.
+    an atom sits off the bands.  An RKPW sweep is causal in k, so folding
+    the atoms into a prefix gives that prefix of the coefficients.  With no
+    atoms the n band coefficients are the answer.
     """
-    m = len(nodes) - n_atoms
-    a, b = _stieltjes(nodes[:m], weights[:m], N + 1)
-    if not n_atoms:
-        return a[:N], b[:N]
-    beta = [weights[:m].sum()] + (a[:N] ** 2).tolist()
-    for x, w in zip(nodes[m:], weights[m:]):
-        b, beta = _rkpw(b, beta, x, w)
-    return np.sqrt(beta[1:N + 1]), np.array(b[:N])
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int):
+        m = len(nodes) - n_atoms
+        self.bands = _Stieltjes(nodes[:m], weights[:m], N + 1)
+        self.atoms = list(zip(nodes[m:], weights[m:]))
+
+    def coeffs(self, n: int):
+        if not self.atoms:
+            return self.bands.coeffs(n)
+        a, b = self.bands.coeffs(n + 1)
+        beta = [self.bands.mass] + (a[:n] ** 2).tolist()
+        for x, w in self.atoms:
+            b, beta = _rkpw(b, beta, x, w)
+        return np.sqrt(beta[1:n + 1]), np.array(b[:n])
+
+
+def _stieltjes_rkpw(nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int):
+    """First N recursion coefficients of a discretized measure whose last
+    n_atoms entries are point masses: one _StripPass read to N."""
+    return _StripPass(nodes, weights, n_atoms, N).coeffs(N)
 
 
 def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> JacobiParams:
@@ -547,9 +592,9 @@ def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> Jacob
 
     The measure is discretized to per-band midpoint theta grids plus exact
     point masses (SpectralMeasure.discretize); discretized Stieltjes on the
-    band nodes (level-1 BLAS on sqrt(w)-scaled vectors) gives N + 1
-    coefficients, and each point mass is folded in by one RKPW update; no
-    moment matrices, no reorthogonalization.
+    band nodes of positive weight (level-1 BLAS on sqrt(w)-scaled vectors)
+    gives N + 1 coefficients, and each point mass is folded in by one RKPW
+    update; no moment matrices, no reorthogonalization.
 
     When every band's cosine series resolved (quadrature.cos_series_resolved),
     one grid of n = N + 1 + max(len(band_coeffs)) + 8 nodes per band is
@@ -557,8 +602,12 @@ def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> Jacob
     < 2n exactly, so all inner products the first N + 1 coefficients need are
     exact for the stored density; tol is not read.  Otherwise the grid, from
     max(256, 2N + 64) up to 2^17 nodes per band, is doubled until a_n, b_n
-    (n <= N) change by less than tol.  The cached tail re-strips at doubled
-    N and appends the new coefficients, never extrapolates.
+    (n <= N) change by less than tol.  Two consecutive passes are compared in
+    lockstep on the prefixes up to 8, 16, 32, ..., N; a comparison ends at
+    the first prefix that differs by tol or more, and a pass resumes where it
+    stopped when the next comparison reads further, so only the last two
+    passes run to N.  The cached tail re-strips at doubled N and appends the
+    new coefficients, never extrapolates.
     """
     cache = _Extension(lambda have, n: [
         x[have:] for x in _strip_arrays(mu, max(n, 2 * have), tol)])
@@ -572,15 +621,23 @@ def _strip_arrays(mu: SpectralMeasure, N: int, tol: float):
         n = N + 1 + max(len(c) for c in mu.band_coeffs) + 8
         x, w = mu.discretize(n)
         return _stieltjes_rkpw(x, w, n_atoms, N)
+    n_max = 1 << 17
     n = max(256, 2 * N + 64)
-    prev = None
-    while n <= 1 << 17:
-        x, w = mu.discretize(n)
-        a, b = _stieltjes_rkpw(x, w, n_atoms, N)
-        state = np.concatenate([a, b])
-        if prev is not None and np.abs(state - prev).max() < tol:
-            return a, b
-        prev = state
+    if 2 * n > n_max:
+        raise AccuracyError(f"stripping {N} coefficients needs more than {n_max} "
+                            f"nodes per band: its first two grids have {n} and {2 * n}")
+    prev = _StripPass(*mu.discretize(n), n_atoms, N)
+    while 2 * n <= n_max:
         n *= 2
+        cur = _StripPass(*mu.discretize(n), n_atoms, N)
+        c = min(8, N)
+        while True:
+            (pa, pb), (ca, cb) = prev.coeffs(c), cur.coeffs(c)
+            if not np.abs(np.concatenate([ca - pa, cb - pb])).max() < tol:
+                break
+            if c == N:
+                return ca, cb
+            c = min(2 * c, N)
+        prev = cur
     raise AccuracyError(f"stripping did not converge below {tol:g} by "
-                        f"{1 << 17} nodes per band")
+                        f"{n_max} nodes per band")

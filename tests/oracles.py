@@ -6,7 +6,9 @@ gradient descent, the closed forms below come from classical formulas
 (Joukowski map, symmetric two-band substitution u = x^2), and recursion
 coefficients of measures come from Lanczos with full reorthogonalization
 (the library strips by Stieltjes plus RKPW updates) and from the plain
-numpy Stieltjes loop (the library runs it on level-1 BLAS), gap-condition
+numpy Stieltjes loop (the library runs it on level-1 BLAS), the doubling
+strip from whole passes on every node (the library compares passes in
+lockstep on prefixes and steps only the support), gap-condition
 integrals come from 30-digit tanh-sinh (the library solves them on a float
 midpoint rule), and truncation eigenvalues off e come from the two whole
 tridiagonal spectra (the library bisects only on R \\ e), and perturbation
@@ -238,6 +240,44 @@ def stieltjes_plain(nodes, weights, N):
         a[k] = np.sqrt(nrm2)
         p_prev, p = p, v / a[k]
     return a, b
+
+
+def stieltjes_rkpw_plain(nodes, weights, n_atoms, N):
+    """First N recursion coefficients of a discretized measure whose last
+    n_atoms entries are point masses: stieltjes_plain on every band node
+    (zero weights included) to N + 1, then one RKPW update per atom."""
+    from finitegap.jacobi import _rkpw
+    m = len(nodes) - n_atoms
+    a, b = stieltjes_plain(nodes[:m], weights[:m], N + 1)
+    if not n_atoms:
+        return a[:N], b[:N]
+    beta = [weights[:m].sum()] + (a[:N] ** 2).tolist()
+    for x, w in zip(nodes[m:], weights[m:]):
+        b, beta = _rkpw(b, beta, x, w)
+    return np.sqrt(beta[1:N + 1]), np.array(b[:N])
+
+
+def strip_doubling_plain(mu, N, tol):
+    """The grid-doubling strip of a measure whose band series is unresolved,
+    as whole passes: from max(256, 2N + 64) nodes per band up to 2^17, each
+    pass runs to N on every node and is compared with the previous one on
+    all of a_1..a_N, b_1..b_N (the library compares consecutive passes in
+    lockstep on prefixes, on the support only).  Returns (a, b, nodes per
+    band of the accepted pass)."""
+    from finitegap.errors import AccuracyError
+    n_atoms = len(mu.point_masses)
+    n = max(256, 2 * N + 64)
+    prev = None
+    while n <= 1 << 17:
+        x, w = mu.discretize(n)
+        a, b = stieltjes_rkpw_plain(x, w, n_atoms, N)
+        state = np.concatenate([a, b])
+        if prev is not None and np.abs(state - prev).max() < tol:
+            return a, b, n
+        prev = state
+        n *= 2
+    raise AccuracyError(f"stripping did not converge below {tol:g} by "
+                        f"{1 << 17} nodes per band")
 
 
 def lanczos_measure(mu, N, nodes_per_band=None):

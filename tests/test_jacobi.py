@@ -1,6 +1,7 @@
 from concurrent.futures import ThreadPoolExecutor
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -503,6 +504,110 @@ def test_strip_dead_band_matches_lanczos_on_same_nodes():
         assert np.abs(np.concatenate([a, b]) - cur).max() <= 1e-12
 
 
+def _grids(monkeypatch, mu):
+    """Record the nodes per band of every discretization of mu."""
+    grids = []
+    discretize = mu.discretize
+
+    def counted(n):
+        grids.append(n)
+        return discretize(n)
+
+    monkeypatch.setattr(mu, "discretize", counted)
+    return grids
+
+
+def _dead_band_atom_measure():
+    dead = _dead_band_measure()
+    return fg.measure_from_theta_density(
+        E2, lambda j, th: 0.9 * dead.theta_density(j, th), [(2.5, 0.1)],
+        strict=False, validate=False)
+
+
+@pytest.mark.parametrize("make, reads", [
+    (_dead_band_measure, (24,)), (_dead_band_measure, (64,)),
+    (_dead_band_measure, (96,)), (_dead_band_measure, (64, 150, 600)),
+    (_dead_band_atom_measure, (64, 256))])
+def test_strip_doubling_matches_whole_passes(make, reads, monkeypatch):
+    # lockstep passes on the support against whole passes on every node:
+    # the same coefficients, and the same grids up to the accepted one, for
+    # the first strip and for each re-strip of the tail (at max(n, 2 have))
+    mu = make()
+    tol = 2e-3
+    grids = _grids(monkeypatch, mu)
+    J = fg.strip_coefficients(mu, reads[0], tol=tol)
+    got = [np.concatenate(J.coeffs(n)) for n in reads]
+    lib_grids = list(grids)
+    grids.clear()
+    want_a, want_b, accepted, have = [], [], [], 0
+    for n in reads:
+        a, b, grid = oracles.strip_doubling_plain(mu, max(n, 2 * have), tol)
+        want_a.append(a[have:n])
+        want_b.append(b[have:n])
+        accepted.append(grid)
+        have = n
+    assert lib_grids == grids
+    assert [g for g, h in zip(grids, grids[1:] + [0]) if h != 2 * g] == accepted
+    for n, ab in zip(reads, got):
+        want = np.concatenate([np.concatenate(want_a)[:n], np.concatenate(want_b)[:n]])
+        assert np.abs(ab - want).max() <= 1e-13
+
+
+def test_strip_doubling_raises_like_whole_passes():
+    # the dead band's 1/M convergence never reaches 1e-6 by 2^17 nodes
+    mu = _dead_band_measure()
+    with pytest.raises(AccuracyError) as want:
+        oracles.strip_doubling_plain(mu, 24, 1e-6)
+    with pytest.raises(AccuracyError) as got:
+        fg.strip_coefficients(mu, 24, tol=1e-6)
+    assert str(got.value) == str(want.value) == (
+        "stripping did not converge below 1e-06 by 131072 nodes per band")
+
+
+def test_strip_doubling_names_a_grid_too_large(monkeypatch):
+    # 2N + 64 nodes per band, doubled once, must fit in 2^17: past that no
+    # two passes can be compared, and nothing is discretized
+    mu = _dead_band_measure()
+    grids = _grids(monkeypatch, mu)
+    for N in (32737, 65505):
+        n = 2 * N + 64
+        with pytest.raises(AccuracyError, match=(
+                f"stripping {N} coefficients needs more than 131072 nodes per "
+                f"band: its first two grids have {n} and {2 * n}")):
+            fg.strip_coefficients(mu, N)
+    assert grids == []
+    # at N = 32736 the grids 65536 and 2^17 are compared, on a prefix
+    with pytest.raises(AccuracyError, match="did not converge"):
+        fg.strip_coefficients(mu, 32736)
+    assert grids == [65536, 131072]
+
+
+def test_strip_doubling_work(monkeypatch):
+    # the benchmark's dead band, stripped to 64 and read to 256: kernel steps
+    # times support nodes (11.44 M as whole passes on every node), and at
+    # most two passes alive at once
+    from finitegap import jacobi
+    work, live, most = [0], weakref.WeakSet(), [0]
+    init, coeffs = jacobi._Stieltjes.__init__, jacobi._Stieltjes.coeffs
+
+    def counted_init(self, *args):
+        init(self, *args)
+        live.add(self)
+        most[0] = max(most[0], len(live))
+
+    def counted_coeffs(self, n):
+        steps = len(self.a)
+        out = coeffs(self, n)
+        work[0] += (len(self.a) - steps) * self.support
+        return out
+
+    monkeypatch.setattr(jacobi._Stieltjes, "__init__", counted_init)
+    monkeypatch.setattr(jacobi._Stieltjes, "coeffs", counted_coeffs)
+    fg.strip_coefficients(_dead_band_measure(), 64, tol=2e-3).coeffs(256)
+    assert work[0] <= 8.1e6
+    assert most[0] == 2
+
+
 def test_strip_exact_grid_is_sufficient(eq_twoband):
     # the size rule n = N + 1 + L + 8 against a grid twice as fine; a grid
     # below N + 1 + L/2 is not exact for a series that does not decay
@@ -589,6 +694,34 @@ def test_stieltjes_kernel_needs_n_plus_one_support_points():
     w[9] = 0.0
     with pytest.raises(AccuracyError, match="broke down at step 5: 5 nodes"):
         _stieltjes(x, w, 5)
+
+
+def test_stieltjes_pass_resumes_bit_for_bit():
+    # a pass read in pieces equals one read, and a prefix equals the same
+    # prefix of a longer read; the zero weights of the dead band are dropped
+    from finitegap.jacobi import _Stieltjes
+    x, w = _dead_band_measure().discretize(1024)
+    one = _Stieltjes(x, w, 200)
+    assert one.support == np.count_nonzero(w) < len(x)
+    a, b = one.coeffs(200)
+    pieces = _Stieltjes(x, w, 200)
+    for n in (1, 8, 9, 64, 200):
+        pa, pb = pieces.coeffs(n)
+        assert pa.tobytes() == a[:n].tobytes() and pb.tobytes() == b[:n].tobytes()
+    assert pieces.coeffs(3)[0].tobytes() == a[:3].tobytes()
+    assert len(pieces.a) == 200
+
+
+def test_stieltjes_pass_rechecks_support_when_resumed():
+    from finitegap.jacobi import _Stieltjes
+    x = np.linspace(-1.0, 1.0, 10)
+    w = np.zeros(10)
+    w[[1, 4, 8]] = 1.0
+    s = _Stieltjes(x, w, 2)
+    assert s.coeffs(2)[0].tobytes() == _stieltjes(x, w, 2)[0].tobytes()
+    with pytest.raises(AccuracyError, match="broke down at step 3: 3 nodes carry "
+                       "positive weight, 6 needed"):
+        s.coeffs(5)
 
 
 def test_strip_rejects_negative_discretized_weight():
