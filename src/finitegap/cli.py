@@ -331,8 +331,8 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         mu = _measure_from_config(e, config.get("measure", {}))
         rep = three_condition_experiment(
             e, mu, which_two=tuple(which_two),
-            n_strip=_size(config, "n_strip", 256),
-            n_trunc=_size(config, "n_trunc", 1024))
+            n_strip=_size(config, "n_strip", 256, 2),
+            n_trunc=_size(config, "n_trunc", 1024, 4))
         _write_json(out, "sumrule_three_condition.json",
                     {**rep.to_json(), "experiment": exp}, config)
     elif exp == "cesaro":

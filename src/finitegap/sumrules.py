@@ -609,21 +609,43 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
     Reports the status of the condition implied by `which_two`, and, when all
     three hold, the approach-to-torus diagnostic: d_N(J, T_e) at N = n_strip/2
     by dist_to_torus, then d_N at n_strip on its witness: approach if no larger.
+
+    mu is stripped once, to the length its verdicts read.  The zeros of p_N,
+    the eigenvalues of the N x N truncation, lie strictly inside the convex
+    hull of supp mu (Szego, Orthogonal Polynomials, Thm 3.3.1), and that hull
+    lies in [lo, hi]: the outer band edges of mu.set widened by the atoms.  So
+    a component of R \\ e holds a truncation eigenvalue at no N unless it
+    meets (lo, hi).  When none does, (a) is the empty sum 0 with tail 0, no
+    truncation is formed and mu is stripped to n_strip.  Otherwise one strip
+    to max(n_strip, n_trunc) serves the a-products, both truncations and the
+    approach check.  lt_half_sum records the number of components searched.
     """
+    if n_strip < 2 or n_trunc < 4:
+        raise ValueError(f"need n_strip >= 2 and n_trunc >= 4, "
+                         f"got {n_strip} and {n_trunc}")
     eq = eq if eq is not None else solve_equilibrium(e)
     rep = ExperimentReport("three_condition")
     rep.inputs = {"bands": e.to_json(), "which_two": list(which_two),
                   "n_strip": n_strip, "n_trunc": n_trunc}
 
-    J = strip_coefficients(mu, n_strip, tol=strip_tol)
+    hull = [*mu.set.endpoints[[0, -1]], *(x for x, _ in mu.point_masses)]
+    lo, hi = min(hull), max(hull)
+    edges = [-math.inf, *e.endpoints, math.inf]
+    search = any(c0 < hi and c1 > lo for c0, c1 in zip(edges[::2], edges[1::2]))
+    J = strip_coefficients(mu, max(n_strip, n_trunc) if search else n_strip,
+                           tol=strip_tol)
 
     # (a) critical Lieb-Thirring sum via stability-filtered truncations
-    evs = truncation_eigenvalues_outside(J, e, n_trunc)
-    evs_half = truncation_eigenvalues_outside(J, e, n_trunc // 2)
+    evs = evs_half = ()
+    if search:
+        evs = truncation_eigenvalues_outside(J, e, n_trunc)
+        evs_half = truncation_eigenvalues_outside(J, e, n_trunc // 2)
     s_full = lt_sum(evs, e, 0.5)
     s_half = lt_sum(evs_half, e, 0.5)
     a_holds = abs(s_full - s_half) < 1e-3
-    rep.add("lt_half_sum", s_full, n_trunc=n_trunc, tail=abs(s_full - s_half))
+    rep.add("lt_half_sum", s_full, n_trunc=n_trunc,
+            components_searched=len(edges) // 2 if search else 0,
+            tail=abs(s_full - s_half))
     rep.verdicts["a_finite"] = bool(a_holds)
 
     # (b) Szego integral with the -1/2 weight

@@ -11,7 +11,9 @@ strip from whole passes on every node (the library compares passes in
 lockstep on prefixes and steps only the support), gap-condition
 integrals come from 30-digit tanh-sinh (the library solves them on a float
 midpoint rule), and truncation eigenvalues off e come from the two whole
-tridiagonal spectra (the library bisects only on R \\ e), and perturbation
+tridiagonal spectra (the library bisects only on R \\ e, and only where the
+hull of the support reaches), the three-condition (a) and (c) quantities
+from two strips (the library strips once), and perturbation
 deltas and the Lieb-Thirring right side come from the plain formulas (the
 library slices shared power tables, draws into one buffer and sums |delta|
 once).  The fixed-size cosine-substitution grid checks integrals against
@@ -501,6 +503,19 @@ def truncation_eigenvalues_outside_dense(J, e, N, stability_tol=1e-6):
     ev_half = eigh_tridiagonal(b2, a2[:N // 2 - 1], eigvals_only=True)
     return np.array(sorted(x for x in out
                            if np.abs(ev_half - x).min() < stability_tol))
+
+
+def three_condition_two_strip(e, mu, n_strip, n_trunc, strip_tol, capacity):
+    """(lt_half_sum, a_product_range) of the three-condition experiment by two
+    strips: mu stripped to n_strip, then its tail re-stripped to n_trunc by the
+    truncations' read, which search every component of R \\ e by whole
+    spectra (the library strips once to the length its verdicts read)."""
+    import finitegap as fg
+    J = fg.strip_coefficients(mu, n_strip, tol=strip_tol)
+    lt = fg.lt_sum(truncation_eigenvalues_outside_dense(J, e, n_trunc), e, 0.5)
+    a, _ = J.coeffs(n_strip)
+    prods = np.exp(np.cumsum(np.log(a)) - np.arange(1, n_strip + 1) * math.log(capacity))
+    return lt, [float(prods.min()), float(prods.max())]
 
 
 def de_quad_unnested(fn, a, b, tol=1e-10, max_level=11):

@@ -369,7 +369,12 @@ def test_malformed_jacobi_spec_exit_2(tmp_path, capsys, route, name):
     ("torus", {"bands": [[-2, 2]], "n": -1}),
     ("sumrule", {"experiment": "cesaro", "bands": [[-2, 2]], "M": 0}),
     ("eqm", {"bands": [[-2, 2]], "grid_points": 8.5}),
-], ids=["oprl_n", "oscillatory_n", "torus_n", "cesaro_M", "eqm_float"])
+    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
+                 "n_strip": 1}),
+    ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
+                 "n_trunc": 3}),
+], ids=["oprl_n", "oscillatory_n", "torus_n", "cesaro_M", "eqm_float",
+        "three_condition_n_strip", "three_condition_n_trunc"])
 def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
     rc, files = run_fresh(tmp_path, command, config)
     assert rc == 2 and files == []

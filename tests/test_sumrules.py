@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+import math
 import sys
 import tracemalloc
 import warnings
@@ -898,14 +899,42 @@ def test_three_condition_torus_deviation_bit_identical_with_array_oracle(
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_three_condition_dead_band():
+def _dead_band_measure(scale=1.0, atoms=()):
+    # the semicircle with no mass on (0.2, 0.8), times scale, plus atoms
     def theta_fn(j, th):
         x = 2 * np.cos(th)
-        h = 2 * np.sin(th) ** 2 / np.pi
+        h = scale * 2 * np.sin(th) ** 2 / np.pi
         return np.where((x > 0.2) & (x < 0.8), 0.0, h)
 
-    mu = fg.measure_from_theta_density(E2, theta_fn, strict=False, validate=False)
+    return fg.measure_from_theta_density(E2, theta_fn, atoms, strict=False,
+                                         validate=False)
+
+
+class _Counted:
+    """Records the N of every jacobi._strip_arrays call and of every
+    truncation the experiment searches."""
+
+    def __init__(self, monkeypatch):
+        self.strips, self.truncations = [], []
+        strip = fg.jacobi._strip_arrays
+        trunc = sumrules.truncation_eigenvalues_outside
+
+        def strip_arrays(mu, N, tol):
+            self.strips.append(N)
+            return strip(mu, N, tol)
+
+        def truncation(J, e, N):
+            self.truncations.append(N)
+            return trunc(J, e, N)
+
+        monkeypatch.setattr(fg.jacobi, "_strip_arrays", strip_arrays)
+        monkeypatch.setattr(sumrules, "truncation_eigenvalues_outside", truncation)
+
+
+def test_three_condition_dead_band(monkeypatch):
+    mu = _dead_band_measure()
     eq = fg.solve_equilibrium(E2)
+    count = _Counted(monkeypatch)
     # the discontinuous density converges only like 1/M under discretization;
     # a loose strip tolerance is all the (a)/(c) status reporting needs
     rep = fg.three_condition_experiment(E2, mu, which_two=("a", "c"),
@@ -914,6 +943,120 @@ def test_three_condition_dead_band():
     assert not rep.verdicts["b_finite"]
     assert rep.verdicts["implied_third"] == "b_finite"
     assert rep.quantities["szego_integral"]["value"] == -np.inf
+    # no component of R \ e meets the hull (-2, 2): one strip, to n_strip,
+    # bit for bit the strip on its own, and no truncation
+    assert count.strips == [96] and count.truncations == []
+    q = rep.quantities["lt_half_sum"]
+    assert q["value"] == 0 and q["params"] == {
+        "n_trunc": 384, "components_searched": 0, "tail": 0.0}
+    a, _ = fg.strip_coefficients(mu, 96, tol=2e-3).coeffs(96)
+    prods = np.exp(np.cumsum(np.log(a)))
+    assert rep.quantities["a_product_range"]["value"] == [prods.min(), prods.max()]
+
+
+@pytest.mark.parametrize("measure", ["semicircle", "arcsine", "dead_band"])
+def test_no_truncation_eigenvalue_off_the_hull(measure):
+    # zeros of p_N lie strictly inside the hull of the support (Szego,
+    # Orthogonal Polynomials, Thm 3.3.1): with no atom and support [-2, 2],
+    # no truncation of any size has an eigenvalue off e = [-2, 2].  J is that
+    # of the measure discretized on 4096 nodes, itself supported in (-2, 2)
+    mu = {"semicircle": fg.semicircle_measure, "arcsine": fg.arcsine_measure,
+          "dead_band": _dead_band_measure}[measure]()
+    x, w = mu.discretize(4096)
+    J = fg.JacobiParams(*oracles.stieltjes_plain(x, w, 512))
+    for N in (256, 512):
+        assert len(oracles.truncation_eigenvalues_outside_dense(J, E2, N)) == 0
+
+
+@pytest.mark.parametrize("measure", ["semicircle", "arcsine"])
+def test_three_condition_searches_nothing_off_the_hull(monkeypatch, measure):
+    mu = {"semicircle": fg.semicircle_measure, "arcsine": fg.arcsine_measure}[measure]()
+    count = _Counted(monkeypatch)
+    rep = fg.three_condition_experiment(E2, mu, n_strip=64, n_trunc=256)
+    q = rep.quantities["lt_half_sum"]
+    assert q["value"] == 0 and q["params"]["tail"] == 0
+    assert q["params"]["components_searched"] == 0
+    assert rep.verdicts["a_finite"] and rep.verdicts["approach_to_torus"]
+    # the strip goes to n_strip; the approach check alone reads past it
+    assert count.strips[0] == 64 and count.truncations == []
+
+
+def test_three_condition_searches_with_an_atom_past_the_edge(monkeypatch):
+    mu = _dead_band_measure(0.9, [(2.5, 0.1)])
+    count = _Counted(monkeypatch)
+    rep = fg.three_condition_experiment(E2, mu, which_two=("a", "c"),
+                                        n_strip=64, n_trunc=256, strip_tol=2e-3)
+    q = rep.quantities["lt_half_sum"]
+    assert q["params"]["components_searched"] == 2
+    assert count.strips == [256] and count.truncations == [256, 128]
+    # the eigenvalue at the atom, 0.5 from e
+    assert q["value"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert rep.verdicts["a_finite"] and rep.verdicts["c_bounded"]
+
+
+@pytest.mark.parametrize("support,edges,searched", [
+    ([-2, 2], [-2.5, 2.5], 0),  # e wider than mu.set: no component meets its hull
+    ([-2, 2], [-1.5, 1.5], 2),  # e narrower: both outer components do
+    ([-2.5, 2.5], [-2, 2], 2),  # e's own hull would skip what mu's hull reaches
+])
+def test_three_condition_hull_is_that_of_mu(monkeypatch, support, edges, searched):
+    e = fg.make_band_set(edges)
+    mu = fg.measure_from_theta_density(
+        fg.make_band_set(support), lambda j, th: 2 * np.sin(th) ** 2 / np.pi)
+    # the eigenvalues of the 128 x 128 truncation off e, before any filter
+    a, b = fg.strip_coefficients(mu, 128).coeffs(128)
+    ev = np.linalg.eigvalsh(np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1))
+    assert (np.abs(ev) > edges[1]).any() == bool(searched)
+    count = _Counted(monkeypatch)
+    rep = fg.three_condition_experiment(e, mu, which_two=("a", "c"),
+                                        n_strip=32, n_trunc=128)
+    q = rep.quantities["lt_half_sum"]
+    assert q["params"]["components_searched"] == searched
+    assert len(count.truncations) == searched
+    monkeypatch.undo()
+    want, _ = oracles.three_condition_two_strip(e, mu, 32, 128, 1e-9, 1.0)
+    assert q["value"] == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("example", ["arcsine_atom", "period2_atom"])
+def test_three_condition_strips_once(monkeypatch, period2_set, example):
+    # one strip to n_trunc serves the a-products, both truncations and the
+    # approach check; the head moves only by the rounding of a longer exact
+    # grid from the strip to n_strip and its tail re-strip to n_trunc
+    e = E2 if example == "arcsine_atom" else period2_set
+    eq = fg.solve_equilibrium(e)
+    if example == "arcsine_atom":
+        mu = fg.measure_from_theta_density(
+            E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
+        n_strip = 128
+    else:
+        mu = fg.measure_from_theta_density(
+            e, lambda j, th: 0.9 * eq.theta_density(j, th), [(0.3, 0.1)])
+        n_strip = 96
+    count = _Counted(monkeypatch)
+    rep = fg.three_condition_experiment(e, mu, n_strip=n_strip,
+                                        n_trunc=4 * n_strip, eq=eq)
+    assert count.strips == [4 * n_strip]
+    assert count.truncations == [4 * n_strip, 2 * n_strip]
+    q = rep.quantities
+    assert q["lt_half_sum"]["params"]["components_searched"] == e.ell + 2
+    monkeypatch.undo()
+    lt, prods = oracles.three_condition_two_strip(e, mu, n_strip, 4 * n_strip,
+                                                  1e-9, eq.capacity)
+    assert lt > 0
+    assert q["lt_half_sum"]["value"] == pytest.approx(lt, rel=1e-13, abs=0)
+    assert q["a_product_range"]["value"] == pytest.approx(prods, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("atoms", [(), [(3.0, 0.2)]], ids=["hull", "search"])
+@pytest.mark.parametrize("n_strip,n_trunc", [(1, 64), (32, 3), (32, 2)])
+def test_three_condition_rejects_short_strips(atoms, n_strip, n_trunc):
+    # checked up front on both routes of (a): the hull rule must not turn a
+    # truncation that cannot be formed into an answer
+    mu = fg.measure_from_theta_density(
+        E2, lambda j, th: np.full_like(th, (1.0 - 0.2 * len(atoms)) / np.pi), atoms)
+    with pytest.raises(ValueError, match="n_strip >= 2 and n_trunc >= 4"):
+        fg.three_condition_experiment(E2, mu, n_strip=n_strip, n_trunc=n_trunc)
 
 
 def test_run_experiments_concurrent():
