@@ -43,7 +43,7 @@ def main():
 
     print("== equilibrium data ==")
     for name, e in sets.items():
-        eq = fg.solve_equilibrium(e)
+        eq = e.equilibrium
         doc = {"bands": e.to_json(), **eq.to_json(),
                "rational_period": fg.rational_harmonic_period(eq.harmonic_measures)}
         (out / f"eqm_{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -115,8 +115,7 @@ def main():
     print(f"  Cesaro average at M={M}: {avg:.5f}")
 
     print("== twisted sums for an oscillatory perturbation ==")
-    eq = fg.solve_equilibrium(sets["symmetric"])
-    omega = eq.harmonic_measures[:-1]
+    omega = sets["symmetric"].equilibrium.harmonic_measures[:-1]
     spec = oscillatory_spec(omega, [1], 0.2, 1.0, theta=1 / np.pi, target="a")
     rep4 = twisted_sum_report(spec, omega,
                               [np.array([k]) for k in range(-5, 6)],

@@ -62,6 +62,12 @@ class FiniteGapSet:
         return coeffs
 
     @cached_property
+    def equilibrium(self) -> "EquilibriumData":
+        """solve_equilibrium(self), solved on first access and kept: every
+        caller holding this set shares one solve and its read-only arrays."""
+        return solve_equilibrium(self)
+
+    @cached_property
     def midpoints(self) -> np.ndarray:
         return np.array([(a + b) / 2 for a, b in self.bands])
 
@@ -238,7 +244,8 @@ def solve_equilibrium(e: FiniteGapSet) -> EquilibriumData:
     theta-densities are resolved by adaptive_cos_coeffs.  Every series is
     capped at 16384 nodes; an unresolved one raises AccuracyError.
     Postconditions asserted here: total mass within 1e-8 of 1 and
-    Robin-constant spread over band midpoints below 1e-8.
+    Robin-constant spread over band midpoints below 1e-8.  The returned
+    arrays are read-only; FiniteGapSet.equilibrium keeps one solve per set.
     """
     n_max = 16384
     zeros, n_rule = _gap_condition_solve(e, n_max)
@@ -255,6 +262,8 @@ def solve_equilibrium(e: FiniteGapSet) -> EquilibriumData:
         raise AccuracyError(
             f"Robin constant spread {phis.max() - phis.min():.2e} over band midpoints")
     robin = float(phis.mean())
+    for x in (zeros, omega, *coeffs):
+        x.setflags(write=False)
     return EquilibriumData(e, zeros, robin, float(np.exp(-robin)), omega,
                            coeffs, n_rule)
 

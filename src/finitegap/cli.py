@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bandset import (FiniteGapSet, equilibrium_density, potential,
-                      rational_harmonic_period, solve_equilibrium)
+                      rational_harmonic_period)
 from .errors import AccuracyError, DomainError, FiniteGapError, MeasureError
 from .isotorus import DirichletData, dirichlet_data, dist_to_torus, torus_jacobi
 from .jacobi import (JacobiParams, SpectralMeasure, arcsine_measure,
@@ -173,7 +173,7 @@ def _measure_from_config(e, spec: dict) -> SpectralMeasure:
     if atom_mass >= 1.0:
         raise CliError(2, "atom weights must total < 1")
     if base == "equilibrium":
-        band = equilibrium_measure(solve_equilibrium(e))
+        band = equilibrium_measure(e.equilibrium)
     elif base == "semicircle":
         band = semicircle_measure()
     elif base == "arcsine":
@@ -196,7 +196,7 @@ def cmd_eqm(config: dict, args, out: Path) -> int:
     e = _bands_from_config(config)
     gp = _size(config, "grid_points", 64)
     try:
-        eq = solve_equilibrium(e)
+        eq = e.equilibrium
     except AccuracyError as exc:
         raise CliError(1, f"equilibrium solve failed: {exc}") from exc
     payload = {"bands": e.to_json(), **eq.to_json(),
@@ -352,8 +352,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         if e.ell == 0:
             raise CliError(2, "the oscillatory experiment needs a set with a gap")
         N = _size(config, "n", 1 << 14)
-        eq = solve_equilibrium(e)
-        omega = eq.harmonic_measures[:-1]  # independent frequencies
+        omega = e.equilibrium.harmonic_measures[:-1]  # independent frequencies
         k_vector = _get(config, "k_vector", [1] * e.ell,
                         lambda k: _is_list(k, _is_number, e.ell),
                         f"a list of {e.ell} numbers")

@@ -18,13 +18,12 @@ import warnings
 
 import numpy as np
 
-from .bandset import (EquilibriumData, FiniteGapSet, dist_to_set,
-                      solve_equilibrium)
+from .bandset import FiniteGapSet, dist_to_set
 from .errors import MeasureError
-from .isotorus import _move, dist_to_torus, torus_jacobi
+from .isotorus import DM_BLOCK, _move, dist_to_torus, torus_jacobi
 from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, _Extension,
-                     free_jacobi, oprl_scaled_last, strip_coefficients,
-                     truncation_eigenvalues_outside)
+                     _components, free_jacobi, oprl_scaled_last,
+                     strip_coefficients, truncation_eigenvalues_outside)
 from .quadrature import de_quad
 
 
@@ -601,65 +600,69 @@ class ExperimentReport:
 
 def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
                                which_two=("a", "b"), n_strip: int = 256,
-                               n_trunc: int = 1024, strip_tol: float = 1e-9,
-                               eq: EquilibriumData | None = None) -> ExperimentReport:
+                               n_trunc: int = 1024,
+                               strip_tol: float = 1e-9) -> ExperimentReport:
     """Evaluate conditions (a) critical LT sum, (b) Szego integral, (c) bounded
     capacity-normalized a-product for a measure-driven example.
 
     Reports the status of the condition implied by `which_two`, and, when all
     three hold, the approach-to-torus diagnostic: d_N(J, T_e) at N = n_strip/2
     by dist_to_torus, then d_N at n_strip on its witness: approach if no larger.
+    The capacity is that of e.equilibrium, solved once per set.
 
     mu is stripped once, to the length its verdicts read.  The zeros of p_N,
     the eigenvalues of the N x N truncation, lie strictly inside the convex
     hull of supp mu (Szego, Orthogonal Polynomials, Thm 3.3.1), and that hull
     lies in [lo, hi]: the outer band edges of mu.set widened by the atoms.  So
     a component of R \\ e holds a truncation eigenvalue at no N unless it
-    meets (lo, hi).  When none does, (a) is the empty sum 0 with tail 0, no
-    truncation is formed and mu is stripped to n_strip.  Otherwise one strip
-    to max(n_strip, n_trunc) serves the a-products, both truncations and the
-    approach check.  lt_half_sum records the number of components searched.
+    meets (lo, hi), and only those components are searched (hull= of
+    truncation_eigenvalues_outside); lt_half_sum records how many.  When
+    none does, (a) is the empty sum 0 with tail 0 and no truncation is
+    formed.  The Szego integral comes first: when (b) holds, the approach
+    check can run, and its second deviation reads J to n_strip + DM_BLOCK - 1,
+    so mu is stripped to that length, or to n_trunc when searching and
+    longer.  Otherwise the strip goes to n_strip, or n_trunc when searching.
     """
     if n_strip < 2 or n_trunc < 4:
         raise ValueError(f"need n_strip >= 2 and n_trunc >= 4, "
                          f"got {n_strip} and {n_trunc}")
-    eq = eq if eq is not None else solve_equilibrium(e)
+    capacity = e.equilibrium.capacity
     rep = ExperimentReport("three_condition")
     rep.inputs = {"bands": e.to_json(), "which_two": list(which_two),
                   "n_strip": n_strip, "n_trunc": n_trunc}
 
-    hull = [*mu.set.endpoints[[0, -1]], *(x for x, _ in mu.point_masses)]
-    lo, hi = min(hull), max(hull)
-    edges = [-math.inf, *e.endpoints, math.inf]
-    search = any(c0 < hi and c1 > lo for c0, c1 in zip(edges[::2], edges[1::2]))
-    J = strip_coefficients(mu, max(n_strip, n_trunc) if search else n_strip,
+    support = [*mu.set.endpoints[[0, -1]], *(x for x, _ in mu.point_masses)]
+    hull = (min(support), max(support))
+    searched = len(_components(e, hull))
+    sz = szego_integral(mu, e, -0.5)
+    b_holds = bool(sz > -np.inf)
+    n_read = n_strip + DM_BLOCK - 1 if b_holds else n_strip
+    J = strip_coefficients(mu, max(n_read, n_trunc) if searched else n_read,
                            tol=strip_tol)
 
     # (a) critical Lieb-Thirring sum via stability-filtered truncations
     evs = evs_half = ()
-    if search:
-        evs = truncation_eigenvalues_outside(J, e, n_trunc)
-        evs_half = truncation_eigenvalues_outside(J, e, n_trunc // 2)
+    if searched:
+        evs = truncation_eigenvalues_outside(J, e, n_trunc, hull=hull)
+        evs_half = truncation_eigenvalues_outside(J, e, n_trunc // 2, hull=hull)
     s_full = lt_sum(evs, e, 0.5)
     s_half = lt_sum(evs_half, e, 0.5)
     a_holds = abs(s_full - s_half) < 1e-3
     rep.add("lt_half_sum", s_full, n_trunc=n_trunc,
-            components_searched=len(edges) // 2 if search else 0,
-            tail=abs(s_full - s_half))
+            components_searched=searched, tail=abs(s_full - s_half))
     rep.verdicts["a_finite"] = bool(a_holds)
 
     # (b) Szego integral with the -1/2 weight
-    sz = szego_integral(mu, e, -0.5)
     rep.add("szego_integral", sz, weight_exponent=-0.5)
-    rep.verdicts["b_finite"] = bool(sz > -np.inf)
+    rep.verdicts["b_finite"] = b_holds
 
     # (c) capacity-normalized a-product bounded above and below
     # a_product(J, n, capacity=C) for every n <= n_strip, from one log-sum
     a, _ = J.coeffs(n_strip)
     prods = np.exp(np.cumsum(np.log(a))
-                   - np.arange(1, n_strip + 1) * math.log(eq.capacity))
+                   - np.arange(1, n_strip + 1) * math.log(capacity))
     rep.add("a_product_range", [float(prods.min()), float(prods.max())],
-            n=n_strip, capacity=eq.capacity)
+            n=n_strip, capacity=capacity)
     c_holds = prods.min() > 1e-6 and prods.max() < 1e6 and \
         prods[n_strip // 2:].max() / prods[n_strip // 2:].min() < 10.0
     rep.verdicts["c_bounded"] = bool(c_holds)
@@ -668,7 +671,7 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
     rep.verdicts["implied_third"] = {"a": "a_finite", "b": "b_finite",
                                      "c": "c_bounded"}[implied]
 
-    if a_holds and sz > -np.inf and c_holds:
+    if a_holds and b_holds and c_holds:
         Ns = [n_strip // 2, n_strip]
         res = dist_to_torus(J, e, Ns[0], grid_per_gap=4)
         devs = [res.value, res.deviation(J, Ns[1])]

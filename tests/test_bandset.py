@@ -80,6 +80,24 @@ def test_R_coeffs_cached_and_read_only():
         c[0] = 1.0
 
 
+def test_equilibrium_cached_and_read_only(monkeypatch):
+    calls = []
+    solve = fg.bandset.solve_equilibrium
+
+    def counted(e):
+        calls.append(e)
+        return solve(e)
+
+    monkeypatch.setattr(fg.bandset, "solve_equilibrium", counted)
+    e = fg.make_band_set([-2, -1, 0.5, 2])
+    eq = e.equilibrium
+    assert eq is e.equilibrium and calls == [e]
+    assert eq.capacity == solve(e).capacity
+    for x in (eq.gap_zeros, eq.harmonic_measures, *eq.band_coeffs):
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+
+
 def test_root_products_mpmath_oracle_many_gaps():
     # 50-digit products over the same float64 roots, up to l = 16 gaps
     pytest.importorskip("mpmath")

@@ -766,8 +766,10 @@ def test_cesaro_free_torus_point():
 
 
 def test_cesaro_work_is_linear_in_M(monkeypatch, period2_set, period2_torus):
-    # each m starts at the last witness moved one stripping step on; moving
-    # it m - 1 sites back and m - 1 on again took 16 321 steps at M = 100
+    # each m starts at the last witness moved one stripping step on, and the
+    # witness goes on from the search's one evaluation: 3 321 steps at
+    # M = 100.  Stepping each witness anew took 6 521, and moving it m - 1
+    # sites back and m - 1 on again 16 321
     steps = 0
     step = fg.isotorus._StrippingTail._step
 
@@ -779,7 +781,7 @@ def test_cesaro_work_is_linear_in_M(monkeypatch, period2_set, period2_torus):
     monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
     M = 100
     assert fg.cesaro_distance(period2_torus.params, period2_set, M) < 1e-6
-    assert steps <= 70 * M, steps
+    assert steps <= 40 * M, steps
 
 
 def test_cesaro_decay_slow_oscillation():
@@ -815,8 +817,7 @@ def test_denisov_rakhmanov_illustration():
 def test_three_condition_equilibrium(eq_twoband):
     mu = fg.equilibrium_measure(eq_twoband)
     rep = fg.three_condition_experiment(eq_twoband.set, mu, n_strip=128,
-                                        n_trunc=512,
-                                        eq=eq_twoband)
+                                        n_trunc=512)
     assert rep.verdicts["a_finite"]
     assert rep.verdicts["b_finite"]
     assert rep.verdicts["c_bounded"]
@@ -836,7 +837,7 @@ def test_three_condition_approach_is_measured(eq_twoband):
     # searched deviations sit at the d_m floor
     rep = fg.three_condition_experiment(eq_twoband.set,
                                         fg.equilibrium_measure(eq_twoband),
-                                        n_strip=128, n_trunc=512, eq=eq_twoband)
+                                        n_strip=128, n_trunc=512)
     q = rep.quantities["torus_deviation"]
     assert max(q["value"]) < 1e-10
     assert q["params"]["N_values"] == [64, 128]
@@ -849,9 +850,10 @@ def test_three_condition_approach_is_measured(eq_twoband):
 def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     # 0.9 equilibrium + 0.1 delta_atom on P2: the 8-point grid minimum read
     # 0.21-0.45 at both N here; the search finds the torus point at its site
-    # start.  It steps 32 times for that evaluation and N/2 + 32 to read the
-    # witness's site-N/2 point to N + 31 for both deviations; moving the
-    # witness back to site 1 added N/2 - 1, building it twice took 605-765
+    # start.  It steps 32 times for that evaluation, and the witness goes on
+    # from that stepper, N/2 more steps to read its site-N/2 point to N + 31
+    # for both deviations; stepping the witness anew added 32, moving it
+    # back to site 1 N/2 - 1 more, building it twice took 605-765
     steps = 0
     step = fg.isotorus._StrippingTail._step
 
@@ -860,24 +862,24 @@ def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
         steps += 1
         return step(self, index)
 
-    eq = fg.solve_equilibrium(period2_set)
+    eq = period2_set.equilibrium
     mu = fg.measure_from_theta_density(
         period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), [(atom, 0.1)])
     monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
     rep = fg.three_condition_experiment(period2_set, mu, n_strip=96,
-                                        n_trunc=384, eq=eq)
+                                        n_trunc=384)
     q = rep.quantities["torus_deviation"]
     assert max(q["value"]) < 1e-12
     assert rep.verdicts["approach_to_torus"]
     assert q["params"]["nfev"] == 1
-    assert steps <= 32 + (96 // 2 + 32) == 112
+    assert steps <= 32 + 96 // 2 == 80
 
 
 def test_three_condition_gapless_set_off_the_free_point():
     # on [-1, 3] the torus is the point a = 1, b = 1, not the free matrix
-    eq = fg.solve_equilibrium(fg.make_band_set([-1.0, 3.0]))
+    eq = fg.make_band_set([-1.0, 3.0]).equilibrium
     rep = fg.three_condition_experiment(eq.set, fg.equilibrium_measure(eq),
-                                        n_strip=64, n_trunc=256, eq=eq)
+                                        n_strip=64, n_trunc=256)
     assert max(rep.quantities["torus_deviation"]["value"]) < 1e-10
     assert rep.verdicts["approach_to_torus"]
 
@@ -888,8 +890,7 @@ def test_three_condition_torus_deviation_bit_identical_with_array_oracle(
 
     def deviation():
         rep = fg.three_condition_experiment(eq_twoband.set, mu, n_strip=128,
-                                            n_trunc=512,
-                                            eq=eq_twoband)
+                                            n_trunc=512)
         return rep.quantities["torus_deviation"]["value"]
 
     got = deviation()
@@ -923,9 +924,9 @@ class _Counted:
             self.strips.append(N)
             return strip(mu, N, tol)
 
-        def truncation(J, e, N):
+        def truncation(J, e, N, hull=None):
             self.truncations.append(N)
-            return trunc(J, e, N)
+            return trunc(J, e, N, hull=hull)
 
         monkeypatch.setattr(fg.jacobi, "_strip_arrays", strip_arrays)
         monkeypatch.setattr(sumrules, "truncation_eigenvalues_outside", truncation)
@@ -933,18 +934,17 @@ class _Counted:
 
 def test_three_condition_dead_band(monkeypatch):
     mu = _dead_band_measure()
-    eq = fg.solve_equilibrium(E2)
     count = _Counted(monkeypatch)
     # the discontinuous density converges only like 1/M under discretization;
     # a loose strip tolerance is all the (a)/(c) status reporting needs
     rep = fg.three_condition_experiment(E2, mu, which_two=("a", "c"),
-                                        n_strip=96, n_trunc=384, eq=eq,
+                                        n_strip=96, n_trunc=384,
                                         strip_tol=2e-3)
     assert not rep.verdicts["b_finite"]
     assert rep.verdicts["implied_third"] == "b_finite"
     assert rep.quantities["szego_integral"]["value"] == -np.inf
-    # no component of R \ e meets the hull (-2, 2): one strip, to n_strip,
-    # bit for bit the strip on its own, and no truncation
+    # no component of R \ e meets the hull (-2, 2) and (b) fails: one strip,
+    # to n_strip, bit for bit the strip on its own, and no truncation
     assert count.strips == [96] and count.truncations == []
     q = rep.quantities["lt_half_sum"]
     assert q["value"] == 0 and q["params"] == {
@@ -977,8 +977,9 @@ def test_three_condition_searches_nothing_off_the_hull(monkeypatch, measure):
     assert q["value"] == 0 and q["params"]["tail"] == 0
     assert q["params"]["components_searched"] == 0
     assert rep.verdicts["a_finite"] and rep.verdicts["approach_to_torus"]
-    # the strip goes to n_strip; the approach check alone reads past it
-    assert count.strips[0] == 64 and count.truncations == []
+    # (b) holds, so the one strip goes to n_strip + 31, as far as the
+    # approach check's second deviation reads
+    assert count.strips == [64 + 31] and count.truncations == []
 
 
 def test_three_condition_searches_with_an_atom_past_the_edge(monkeypatch):
@@ -987,7 +988,8 @@ def test_three_condition_searches_with_an_atom_past_the_edge(monkeypatch):
     rep = fg.three_condition_experiment(E2, mu, which_two=("a", "c"),
                                         n_strip=64, n_trunc=256, strip_tol=2e-3)
     q = rep.quantities["lt_half_sum"]
-    assert q["params"]["components_searched"] == 2
+    # the hull [-2, 2.5] meets (2, inf) only
+    assert q["params"]["components_searched"] == 1
     assert count.strips == [256] and count.truncations == [256, 128]
     # the eigenvalue at the atom, 0.5 from e
     assert q["value"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -1018,13 +1020,77 @@ def test_three_condition_hull_is_that_of_mu(monkeypatch, support, edges, searche
     assert q["value"] == pytest.approx(want, rel=1e-13, abs=0)
 
 
+def _period2_atom(e, atom):
+    # the period2_atom benchmark measure: 0.9 equilibrium + 0.1 delta_atom
+    eq = e.equilibrium
+    return fg.measure_from_theta_density(
+        e, lambda j, th: 0.9 * eq.theta_density(j, th), [(atom, 0.1)])
+
+
+@pytest.mark.parametrize("case", [
+    "period2_atom", "arcsine+3", "arcsine-3", "dead_band+2.5",
+    "e wider", "e narrower", "mu wider"])
+def test_truncation_search_on_the_hull_bit_identical(period2_set, case):
+    # searching only the components that meet the hull of supp mu finds the
+    # eigenvalues that the search of every component finds, bit for bit,
+    # and the two-spectrum oracle's within 1e-12
+    if case == "period2_atom":
+        e, mu, n_trunc = period2_set, _period2_atom(period2_set, 0.3), 384
+    elif case.startswith("arcsine"):
+        atom = float(case[len("arcsine"):])
+        e, n_trunc = E2, 512
+        mu = fg.measure_from_theta_density(
+            E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(atom, 0.2)])
+    elif case == "dead_band+2.5":
+        e, mu, n_trunc = E2, _dead_band_measure(0.9, [(2.5, 0.1)]), 256
+    else:
+        support, edges = {"e wider": ([-2, 2], [-2.5, 2.5]),
+                          "e narrower": ([-2, 2], [-1.5, 1.5]),
+                          "mu wider": ([-2.5, 2.5], [-2, 2])}[case]
+        e, n_trunc = fg.make_band_set(edges), 128
+        mu = fg.measure_from_theta_density(
+            fg.make_band_set(support), lambda j, th: 2 * np.sin(th) ** 2 / np.pi)
+    support = [*mu.set.endpoints[[0, -1]], *(x for x, _ in mu.point_masses)]
+    hull = (min(support), max(support))
+    J = fg.strip_coefficients(mu, n_trunc, tol=2e-3 if case.startswith("dead") else 1e-9)
+    found = 0
+    for N in (n_trunc, n_trunc // 2):
+        got = fg.truncation_eigenvalues_outside(J, e, N, hull=hull)
+        want = fg.truncation_eigenvalues_outside(J, e, N)
+        assert got.tobytes() == want.tobytes(), (N, got, want)
+        ref = oracles.truncation_eigenvalues_outside_dense(J, e, N)
+        assert len(got) == len(ref) and np.all(np.abs(got - ref) <= 1e-12), (got, ref)
+        found += len(got)
+    # the components that meet the hull, of the l + 2; the atoms' eigenvalues
+    # are found, and without atoms the truncations' ones off e wander
+    searched = {"e wider": 0, "e narrower": 2, "mu wider": 2}.get(case, 1)
+    assert len(fg.jacobi._components(e, hull)) == searched
+    assert (found > 0) == bool(mu.point_masses)
+
+
+def test_three_condition_solves_each_sets_equilibrium_once(monkeypatch):
+    calls = []
+    solve = fg.bandset.solve_equilibrium
+
+    def counted(e):
+        calls.append(e)
+        return solve(e)
+
+    monkeypatch.setattr(fg.bandset, "solve_equilibrium", counted)
+    e = fg.make_band_set([-2.0, 2.0])
+    for mu in (fg.semicircle_measure(), fg.arcsine_measure()):
+        rep = fg.three_condition_experiment(e, mu, n_strip=32, n_trunc=128)
+        assert rep.quantities["a_product_range"]["params"]["capacity"] == 1.0
+    assert calls == [e]
+
+
 @pytest.mark.parametrize("example", ["arcsine_atom", "period2_atom"])
 def test_three_condition_strips_once(monkeypatch, period2_set, example):
     # one strip to n_trunc serves the a-products, both truncations and the
     # approach check; the head moves only by the rounding of a longer exact
     # grid from the strip to n_strip and its tail re-strip to n_trunc
     e = E2 if example == "arcsine_atom" else period2_set
-    eq = fg.solve_equilibrium(e)
+    eq = e.equilibrium
     if example == "arcsine_atom":
         mu = fg.measure_from_theta_density(
             E2, lambda j, th: np.full_like(th, 0.8 / np.pi), [(3.0, 0.2)])
@@ -1035,11 +1101,13 @@ def test_three_condition_strips_once(monkeypatch, period2_set, example):
         n_strip = 96
     count = _Counted(monkeypatch)
     rep = fg.three_condition_experiment(e, mu, n_strip=n_strip,
-                                        n_trunc=4 * n_strip, eq=eq)
+                                        n_trunc=4 * n_strip)
     assert count.strips == [4 * n_strip]
     assert count.truncations == [4 * n_strip, 2 * n_strip]
     q = rep.quantities
-    assert q["lt_half_sum"]["params"]["components_searched"] == e.ell + 2
+    # the hull meets one component: (2, inf) with the atom at 3, P2's gap
+    # with the atom at 0.3
+    assert q["lt_half_sum"]["params"]["components_searched"] == 1
     monkeypatch.undo()
     lt, prods = oracles.three_condition_two_strip(e, mu, n_strip, 4 * n_strip,
                                                   1e-9, eq.capacity)
@@ -1107,8 +1175,7 @@ def test_three_condition_semicircle_plus_atom():
         return 0.8 * 2 * np.sin(th) ** 2 / np.pi
 
     mu = fg.measure_from_theta_density(E2, theta_fn, [(3.0, 0.2)])
-    eq = fg.solve_equilibrium(E2)
-    rep = fg.three_condition_experiment(E2, mu, n_strip=128, n_trunc=512, eq=eq)
+    rep = fg.three_condition_experiment(E2, mu, n_strip=128, n_trunc=512)
     assert rep.verdicts["a_finite"] and rep.verdicts["b_finite"] \
         and rep.verdicts["c_bounded"]
     assert np.isfinite(rep.quantities["szego_integral"]["value"])
