@@ -30,7 +30,7 @@ def main():
     e = fg.make_band_set([float(x) for x in args.bands.split(",")])
     if e.ell != 1:
         raise SystemExit("this sweep wants exactly one gap")
-    eq = fg.solve_equilibrium(e)
+    eq = e.equilibrium
     print(f"set {e.bands}: capacity {eq.capacity:.8f}, "
           f"harmonic {np.round(eq.harmonic_measures, 6)}")
 

@@ -544,8 +544,6 @@ class _TorusSearch:
         self.weights = np.concatenate([w, w])
         self._residuals = {}
         self._jacobians = {}
-        # (angles, stepper, its coefficients) of the most recent evaluation
-        self._last = (None, None, None)
 
     @property
     def nfev(self) -> int:
@@ -556,25 +554,9 @@ class _TorusSearch:
         r = self._residuals.get(key)
         if r is None:
             mh = minimal_herglotz(self.e, dirichlet_from_angles(self.e, phis))
-            step = _StrippingTail(mh)
-            ab = step(0, DM_BLOCK)
-            r = self.target - np.concatenate(ab)
+            r = self.target - np.concatenate(_StrippingTail(mh)(0, DM_BLOCK))
             self._residuals[key] = r
-            self._last = key, step, ab
         return r
-
-    def point(self, phis: np.ndarray) -> JacobiParams:
-        """The torus point at the angles phis, read from its first coefficient.
-
-        When the most recent evaluation was at phis, the point goes on from
-        that evaluation's stepper and its DM_BLOCK coefficients; otherwise
-        it is stepped anew.  The coefficients are the same either way.
-        """
-        key, step, ab = self._last
-        if key != phis.tobytes():
-            return torus_jacobi(self.e, dirichlet_from_angles(self.e, phis), 0).params
-        self._last = (None, None, None)  # the point now owns the stepper
-        return JacobiParams(np.empty(0), np.empty(0), ExtendTail(_Extension(step, ab), 0))
 
     def value(self, phis: np.ndarray) -> float:
         """The first block of d_m, sum_k e^{-k} (|a_k - a^T_k| + |b_k - b^T_k|)."""
@@ -687,12 +669,9 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     follow the site start, 3 starts in all.  When no fit reaches DM_TOL, the
     best end point is polished on the block itself (an L1 sum) by exact
     linearized steps.  DD_TOL is the step tolerance of both stages in gap
-    positions.  The witness's torus point goes on from the stepper of the
-    search's last evaluation when that was at the final angles, as at the
-    site-start floor, and is stepped anew otherwise; its coefficients are
-    the same either way.  The value is d_m at the witness and an upper bound
-    on the true infimum; the grid parameters and the search's evaluations,
-    starts and status travel with the result.  For a gapless set [a_1, b_1] the torus is
+    positions.  The value is d_m at the witness and an upper bound on the true
+    infimum; the grid parameters and the search's evaluations, starts and
+    status travel with the result.  For a gapless set [a_1, b_1] the torus is
     one period-1 point, a = (b_1 - a_1)/4, b = (a_1 + b_1)/2, and d_m is
     returned directly.
     """
@@ -729,7 +708,7 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
         status = "converged"
 
     site_dd = dirichlet_from_angles(e, x)
-    point = search.point(x)
+    point = torus_jacobi(e, site_dd, 0).params
     value = _d_from(J, m, point, 1)[0]
     return TorusDistance(value, site_dd, m, grid_per_gap, search.nfev,
                          len(ends), status, point)

@@ -36,35 +36,29 @@ class _Extension:
     """The one store of a computed sequence a_n, b_n (n >= 1); it only appends,
     so a coefficient once read never changes.  A read past the end calls
     extend(have, n) for a and b at have + 1..m (m = n; a re-strip, which
-    starts over, takes max(n, 2 have)).  start = (a, b) holds the first
-    terms when extend goes on from a state that has already produced them.
-    Each stretch is checked once; the pair is one tuple of read-only arrays,
-    set under the lock."""
+    starts over, takes max(n, 2 have)).  Each stretch is checked once; the
+    pair is one tuple of read-only arrays, set under the lock."""
 
-    def __init__(self, extend, start=None):
+    def __init__(self, extend):
         self._extend = extend
         self._ab = (np.empty(0), np.empty(0))
         self._lock = threading.Lock()
-        if start is not None:
-            self._append(0, *start)
 
     def __call__(self, n: int):
         with self._lock:
-            have = len(self._ab[0])
-            if n > have:
-                self._append(have, *self._extend(have, n))
             a, b = self._ab
+            have = len(a)
+            if n > have:
+                ea, eb = self._extend(have, n)
+                ok = (ea > 0) & np.isfinite(ea) & np.isfinite(eb)
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    raise ValueError(f"a_{have + i + 1} = {ea[i]}, b_{have + i + 1} "
+                                     f"= {eb[i]}: need a > 0, both finite")
+                a, b = np.concatenate([a, ea]), np.concatenate([b, eb])
+                a.flags.writeable = b.flags.writeable = False
+                self._ab = (a, b)
         return a[:n], b[:n]
-
-    def _append(self, have: int, ea, eb):
-        ok = (ea > 0) & np.isfinite(ea) & np.isfinite(eb)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise ValueError(f"a_{have + i + 1} = {ea[i]}, b_{have + i + 1} "
-                             f"= {eb[i]}: need a > 0, both finite")
-        a, b = np.concatenate([self._ab[0], ea]), np.concatenate([self._ab[1], eb])
-        a.flags.writeable = b.flags.writeable = False
-        self._ab = (a, b)
 
 
 class FreeTail:
@@ -275,7 +269,7 @@ def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
     truncations are reported.
 
     Only the few eigenvalues off e are computed: bisection with Sturm counts
-    (LAPACK dstebz) on each component of R \\ e, never the whole spectrum.
+    (LAPACK stebz) on each component of R \\ e, never the whole spectrum.
     The N/2 truncation is searched on the same components widened by
     STABILITY_TOL, which holds every eigenvalue within STABILITY_TOL of a
     candidate.
@@ -289,7 +283,7 @@ def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    comps = _components(e, hull)
+    comps = components_off(e, hull)
     out = [x for x in _eigenvalues_off(J, comps, N, 0.0) if dist_to_set(e, x) > 0]
     if not out:
         return np.empty(0)
@@ -298,9 +292,10 @@ def truncation_eigenvalues_outside(J: JacobiParams, e: FiniteGapSet, N: int,
     return np.array(sorted(stable))
 
 
-def _components(e: FiniteGapSet, hull: tuple[float, float] | None = None) -> list:
+def components_off(e: FiniteGapSet, hull: tuple[float, float] | None = None) -> list:
     """The components of R \\ e as (lo, hi) pairs, (-inf, a_1], (b_j, a_{j+1}]
-    and (b_{l+1}, inf); with hull = (lo, hi), only those meeting (lo, hi)."""
+    and (b_{l+1}, inf); with hull = (lo, hi), only those meeting (lo, hi),
+    the ones truncation_eigenvalues_outside(..., hull=hull) searches."""
     edges = [-math.inf, *e.endpoints, math.inf]
     comps = list(zip(edges[::2], edges[1::2]))
     if hull is None:
@@ -312,28 +307,14 @@ def _components(e: FiniteGapSet, hull: tuple[float, float] | None = None) -> lis
 def _eigenvalues_off(J: JacobiParams, comps: list, N: int, pad: float) -> np.ndarray:
     """Eigenvalues of the N x N truncation in the components comps of R \\ e,
     each widened by pad on both sides: (lo - pad, hi + pad], half-open as in
-    stebz.
-
-    One LAPACK dstebz call per component, with the arguments that
-    scipy.linalg.eigh_tridiagonal(select="v") passes it, so the eigenvalues
-    are bit for bit the ones that function returns.  dstebz rejects the
-    empty off-diagonal of a 1 x 1 truncation, which is answered as
-    eigh_tridiagonal answers it: b_1 when it lies in the interval.
-    """
-    from scipy.linalg.lapack import dstebz
+    stebz."""
+    from scipy.linalg import eigh_tridiagonal
 
     a, b = J.coeffs(N)
-    found = [np.empty(0)]
-    for lo, hi in comps:
-        vl, vu = lo - pad, hi + pad
-        if N == 1:
-            found.append(b[(vl < b) & (b <= vu)])
-            continue
-        m, w, _, _, info = dstebz(b, a[:N - 1], 1, vl, vu, 1, 1, 0.0, "E")
-        if info:
-            raise np.linalg.LinAlgError(f"dstebz failed on ({vl}, {vu}]: info = {info}")
-        found.append(w[:m])
-    return np.concatenate(found)
+    return np.concatenate([np.empty(0), *(
+        eigh_tridiagonal(b, a[:N - 1], eigvals_only=True, select="v",
+                         select_range=(lo - pad, hi + pad))
+        for lo, hi in comps)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .bandset import FiniteGapSet, dist_to_set
 from .errors import MeasureError
 from .isotorus import DM_BLOCK, _move, dist_to_torus, torus_jacobi
 from .jacobi import (ExtendTail, JacobiParams, SpectralMeasure, _Extension,
-                     _components, free_jacobi, oprl_scaled_last,
+                     components_off, free_jacobi, oprl_scaled_last,
                      strip_coefficients, truncation_eigenvalues_outside)
 from .quadrature import de_quad
 
@@ -633,7 +633,7 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
 
     support = [*mu.set.endpoints[[0, -1]], *(x for x, _ in mu.point_masses)]
     hull = (min(support), max(support))
-    searched = len(_components(e, hull))
+    searched = len(components_off(e, hull))
     sz = szego_integral(mu, e, -0.5)
     b_holds = bool(sz > -np.inf)
     n_read = n_strip + DM_BLOCK - 1 if b_holds else n_strip

@@ -715,38 +715,6 @@ def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
     assert all(r.nfev == 1 for r in results[1:])
 
 
-@pytest.mark.parametrize("case", ["floor", "converged"])
-def test_dist_witness_point_bit_identical_with_torus_jacobi(monkeypatch, period2_set,
-                                                            case):
-    # at the site-start floor the final angles are the search's last
-    # evaluation, and the witness goes on from that evaluation's stepper; after
-    # the polish it is stepped anew.  Either way its coefficients are those of
-    # torus_jacobi at the site-m data, read to n_strip + 31 as the
-    # three-condition approach check reads them (n_strip = 96, m = 48)
-    if case == "floor":
-        eq = period2_set.equilibrium
-        mu = fg.measure_from_theta_density(
-            period2_set, lambda j, th: 0.9 * eq.theta_density(j, th), [(0.3, 0.1)])
-        J, m, grid = fg.strip_coefficients(mu, 96 + 31), 48, 4
-    else:
-        J, m, grid = fg.free_jacobi(), 5, 8
-    built = []
-    torus_jacobi = fg.isotorus.torus_jacobi
-
-    def counted(*args):
-        built.append(args)
-        return torus_jacobi(*args)
-
-    monkeypatch.setattr(fg.isotorus, "torus_jacobi", counted)
-    res = fg.dist_to_torus(J, period2_set, m, grid_per_gap=grid)
-    assert res.status == case
-    assert len(built) == (case == "converged")
-    n = 96 + 31 - m + 1
-    got = res.point.coeffs(n)
-    want = torus_jacobi(period2_set, res.dirichlet, 0).params.coeffs(n)
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-
-
 def test_dist_polish_cap_raises(monkeypatch, period2_set):
     # linearized steps cut to a thousandth never reach the L1 minimum;
     # _polish imports linprog from scipy.optimize when it runs

@@ -251,44 +251,9 @@ def test_truncation_eigenvalue_on_band_edge_not_reported(bands, b1):
     # is free, with truncation eigenvalues inside (-2, 2)
     e = fg.make_band_set(bands)
     J = fg.JacobiParams(np.array([1e-300]), np.array([b1]))
-    assert b1 in fg.jacobi._eigenvalues_off(J, fg.jacobi._components(e), 50, 0.0)
+    assert b1 in fg.jacobi._eigenvalues_off(J, fg.jacobi.components_off(e), 50, 0.0)
     assert len(fg.truncation_eigenvalues_outside(J, e, 50)) == 0
     assert len(oracles.truncation_eigenvalues_outside_dense(J, e, 50)) == 0
-
-
-def _split(N, offset):
-    # the split-off sites of test_truncation_stable_partner_inside_band
-    a = np.ones(N)
-    a[0] = a[N - 2] = 1e-300
-    b = np.zeros(N)
-    b[0], b[N - 1] = 2 - offset, 2 + offset
-    return fg.JacobiParams(a, b)
-
-
-@pytest.mark.parametrize("case", [
-    ("site +3", fg.JacobiParams(np.array([1.0]), np.array([3.0])), E2, (1, 2, 3, 2000)),
-    ("site -3", fg.JacobiParams(np.array([1.0]), np.array([-3.0])), E2, (1, 2, 3)),
-    ("edge split", fg.JacobiParams(np.array([1e-300]), np.array([-2.0])), E2, (1, 50)),
-    ("gap edge split", fg.JacobiParams(np.array([1e-300]), np.array([5.0])),
-     fg.make_band_set([-2.0, 2.0, 5.0, 6.0]), (1, 2, 50)),
-    ("partner split", _split(2000, 4e-7), E2, (1000, 2000)),
-], ids=lambda c: c[0])
-@pytest.mark.parametrize("pad", [0.0, 1e-6])
-def test_eigenvalues_off_bit_identical_with_eigh_tridiagonal(case, pad):
-    # the direct dstebz call returns what eigh_tridiagonal(select="v") does,
-    # 1 x 1 truncations (which dstebz cannot take) and split sites included
-    from scipy.linalg import eigh_tridiagonal
-
-    _, J, e, sizes = case
-    comps = fg.jacobi._components(e)
-    for N in sizes:
-        a, b = J.coeffs(N)
-        want = np.concatenate([
-            eigh_tridiagonal(b, a[:N - 1], eigvals_only=True, select="v",
-                             select_range=(lo - pad, hi + pad))
-            for lo, hi in comps])
-        got = fg.jacobi._eigenvalues_off(J, comps, N, pad)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (N, got, want)
 
 
 @pytest.mark.parametrize("offset, accepted", [(4e-7, True), (2e-6, False)])
@@ -297,7 +262,11 @@ def test_truncation_stable_partner_inside_band(offset, accepted):
     # b_N = 2 + offset (off e) only in the N x N one; the candidate's only
     # partner in the N/2 spectrum is b_1, 2 * offset away
     N = 2000
-    J = _split(N, offset)
+    a = np.ones(N)
+    a[0] = a[N - 2] = 1e-300
+    b = np.zeros(N)
+    b[0], b[N - 1] = 2 - offset, 2 + offset
+    J = fg.JacobiParams(a, b)
     evs = fg.truncation_eigenvalues_outside(J, E2, N)
     assert list(evs) == ([2 + offset] if accepted else [])
     assert _assert_matches_dense(J, E2, N) == int(accepted)

@@ -766,10 +766,8 @@ def test_cesaro_free_torus_point():
 
 
 def test_cesaro_work_is_linear_in_M(monkeypatch, period2_set, period2_torus):
-    # each m starts at the last witness moved one stripping step on, and the
-    # witness goes on from the search's one evaluation: 3 321 steps at
-    # M = 100.  Stepping each witness anew took 6 521, and moving it m - 1
-    # sites back and m - 1 on again 16 321
+    # each m starts at the last witness moved one stripping step on; moving
+    # it m - 1 sites back and m - 1 on again took 16 321 steps at M = 100
     steps = 0
     step = fg.isotorus._StrippingTail._step
 
@@ -781,7 +779,7 @@ def test_cesaro_work_is_linear_in_M(monkeypatch, period2_set, period2_torus):
     monkeypatch.setattr(fg.isotorus._StrippingTail, "_step", counted)
     M = 100
     assert fg.cesaro_distance(period2_torus.params, period2_set, M) < 1e-6
-    assert steps <= 40 * M, steps
+    assert steps <= 70 * M, steps
 
 
 def test_cesaro_decay_slow_oscillation():
@@ -850,10 +848,9 @@ def test_three_condition_approach_is_measured(eq_twoband):
 def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     # 0.9 equilibrium + 0.1 delta_atom on P2: the 8-point grid minimum read
     # 0.21-0.45 at both N here; the search finds the torus point at its site
-    # start.  It steps 32 times for that evaluation, and the witness goes on
-    # from that stepper, N/2 more steps to read its site-N/2 point to N + 31
-    # for both deviations; stepping the witness anew added 32, moving it
-    # back to site 1 N/2 - 1 more, building it twice took 605-765
+    # start.  It steps 32 times for that evaluation and N/2 + 32 to read the
+    # witness's site-N/2 point to N + 31 for both deviations; moving the
+    # witness back to site 1 added N/2 - 1, building it twice took 605-765
     steps = 0
     step = fg.isotorus._StrippingTail._step
 
@@ -872,7 +869,7 @@ def test_three_condition_approach_with_gap_atom(monkeypatch, period2_set, atom):
     assert max(q["value"]) < 1e-12
     assert rep.verdicts["approach_to_torus"]
     assert q["params"]["nfev"] == 1
-    assert steps <= 32 + 96 // 2 == 80
+    assert steps <= 32 + (96 // 2 + 32) == 112
 
 
 def test_three_condition_gapless_set_off_the_free_point():
@@ -1064,7 +1061,7 @@ def test_truncation_search_on_the_hull_bit_identical(period2_set, case):
     # the components that meet the hull, of the l + 2; the atoms' eigenvalues
     # are found, and without atoms the truncations' ones off e wander
     searched = {"e wider": 0, "e narrower": 2, "mu wider": 2}.get(case, 1)
-    assert len(fg.jacobi._components(e, hull)) == searched
+    assert len(fg.jacobi.components_off(e, hull)) == searched
     assert (found > 0) == bool(mu.point_masses)
 
 
