@@ -291,7 +291,8 @@ def cmd_distance(config: dict, args, out: Path) -> int:
     e = _bands_from_config(config)
     J = _jacobi_from_config(config.get("jacobi", "free"))
     m = _size(config, "m", 1)
-    res = dist_to_torus(J, e, m, grid_per_gap=_size(config, "grid_per_gap", 16))
+    _size(config, "grid_per_gap", 16)  # checked but not read: the search has no grid
+    res = dist_to_torus(J, e, m)
     _write_json(out, "distance.json", {**res.to_json(), "bands": e.to_json()},
                 config)
     if not args.quiet:
@@ -351,7 +352,7 @@ def cmd_sumrule(config: dict, args, out: Path) -> int:
         e = _bands_from_config(config)
         if e.ell == 0:
             raise CliError(2, "the oscillatory experiment needs a set with a gap")
-        N = _size(config, "n", 1 << 14)
+        N = _size(config, "n", 1 << 14, 2)
         omega = e.equilibrium.harmonic_measures[:-1]  # independent frequencies
         k_vector = _get(config, "k_vector", [1] * e.ell,
                         lambda k: _is_list(k, _is_number, e.ell),

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import itertools
 import math
 
 import numpy as np
@@ -341,11 +340,11 @@ def torus_jacobi(e: FiniteGapSet, dd: DirichletData, n: int) -> TorusPoint:
     return TorusPoint(e, dd, n=n)
 
 
-def _gap_points(e: FiniteGapSet, G, S) -> DirichletData:
+def _gap_points(e: FiniteGapSet, G, S, slack: float = 1e-9) -> DirichletData:
     """The Dirichlet data of m = c (sqrt(R) - S)/G, G and S low to high.
 
     gamma_j is G's root in gap j; its sheet solves S(gamma_j) = -sigma_j
-    rho_j, sign(rho_j) = (-1)^(l - j).  A root within 1e-9 of its gap's
+    rho_j, sign(rho_j) = (-1)^(l - j).  A root within slack times its gap's
     length outside the closed gap is clipped into it; a root that is not
     real, or lies farther out, raises AccuracyError.
     """
@@ -355,8 +354,8 @@ def _gap_points(e: FiniteGapSet, G, S) -> DirichletData:
     entries = []
     for j, g in enumerate(np.sort(roots.real).tolist()):
         beta, alpha = e.gap(j)
-        slack = 1e-9 * (alpha - beta)
-        if not beta - slack <= g <= alpha + slack:
+        pad = slack * (alpha - beta)
+        if not beta - pad <= g <= alpha + pad:
             raise AccuracyError(f"Dirichlet data: root {g} of G outside gap {j} "
                                 f"= [{beta}, {alpha}]")
         g = min(max(g, beta), alpha)
@@ -383,8 +382,10 @@ def _site_start(e: FiniteGapSet, a, b, k: int = 0) -> DirichletData | None:
     (l+2) x (l+2) section T.  With sqrt(R) = z^(l+1) sum_k f_k z^-k and
     u = G/c, the z^-q coefficients of u m = sqrt(R) - S, q = 1..l+1, are
     -sum_i mu_(i+q-1) u_i = f_(l+1+q): one Hankel solve.  Then G = u/u_l
-    and S_p = f_(l+1-p) + sum_(i>p) u_i mu_(i-1-p).  None when the solve is
-    singular, _gap_points rejects G's roots or the move fails.
+    and S_p = f_(l+1-p) + sum_(i>p) u_i mu_(i-1-p).  G's real roots are
+    clipped into their gaps, however far out they lie, since the result is
+    only a start.  None when the solve is singular, a root is not real or
+    the move fails.
     """
     ell = e.ell
     n = ell + 2
@@ -411,7 +412,7 @@ def _site_start(e: FiniteGapSet, a, b, k: int = 0) -> DirichletData | None:
     S = [f[ell + 1 - p] + sum(u[i] * mu[i - 1 - p] for i in range(p + 1, ell + 1))
          for p in range(ell + 2)]
     try:
-        return _move(e, _gap_points(e, u / u[ell], S), k)
+        return _move(e, _gap_points(e, u / u[ell], S, math.inf), k)
     except AccuracyError:
         return None
 
@@ -502,7 +503,6 @@ class TorusDistance:
     value: float
     dirichlet: DirichletData
     m: int
-    grid_per_gap: int
     nfev: int
     starts: int
     status: str
@@ -516,9 +516,8 @@ class TorusDistance:
 
     def to_json(self) -> dict:
         return {"value": self.value, "dirichlet": self.dirichlet.to_json(),
-                "m": self.m, "grid_per_gap": self.grid_per_gap,
-                "dd_tol": DD_TOL, "nfev": self.nfev, "starts": self.starts,
-                "status": self.status}
+                "m": self.m, "dd_tol": DD_TOL, "nfev": self.nfev,
+                "starts": self.starts, "status": self.status}
 
 
 class _TorusSearch:
@@ -530,14 +529,12 @@ class _TorusSearch:
     residuals (a - a^T, then b - b^T); the weights are e^{-k}.  Evaluations
     and finite-difference Jacobians are memoized on the angles, so a point
     that two stages visit is evaluated once, and nfev counts the distinct
-    points.  The first l + 2 of J's coefficients are also kept as a and b
-    for the site start.
+    points.
     """
 
     def __init__(self, J: JacobiParams, e: FiniteGapSet, m: int):
         self.e = e
-        a, b = J.coeffs(m + max(DM_BLOCK, e.ell + 2) - 1)
-        self.a, self.b = a[m - 1:m + e.ell + 1], b[m - 1:m + e.ell + 1]
+        a, b = J.coeffs(m + DM_BLOCK - 1)
         self.target = np.concatenate([a[m - 1:m + DM_BLOCK - 1],
                                       b[m - 1:m + DM_BLOCK - 1]])
         w = np.exp(-np.arange(DM_BLOCK, dtype=float))
@@ -652,25 +649,22 @@ def _polish(search: _TorusSearch, x: np.ndarray, tol: float) -> np.ndarray:
 
 
 def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
-                  grid_per_gap: int = 16,
                   initial: DirichletData | None = None) -> TorusDistance:
     """Approximate inf over torus points of d_m(J, .) by a least-squares search.
 
     The torus is searched at site m in the gap-circle angles of
     dirichlet_from_angles; initial and the witness are site-m data too.  With
-    initial, it is the one start.  Otherwise the first start is the site
-    start, the torus point that J's own coefficients at site m fix, or else
-    those at site m - 1 moved one site on (_site_start).  From a start whose
-    block is not below DM_TOL, Levenberg-Marquardt fits the e^{-k/2}-weighted
-    first block of d_m; the search ends at the first start or fit whose block
-    is below DM_TOL.  Only when the site start's fit ends above it, or there
-    is no site start, is a product grid evaluated (grid_per_gap angles per
-    gap, edges included, sheets on the two semicircles), and its best points
-    follow the site start, 3 starts in all.  When no fit reaches DM_TOL, the
-    best end point is polished on the block itself (an L1 sum) by exact
-    linearized steps.  DD_TOL is the step tolerance of both stages in gap
-    positions.  The value is d_m at the witness and an upper bound on the true
-    infimum; the grid parameters and the search's evaluations, starts and
+    initial, it is the one start.  Otherwise the starts are the site starts
+    at sites m, m - 1, ..., max(1, m - l): the torus point that J's own
+    coefficients at that site fix, moved on to site m (_site_start); a site
+    whose start does not exist is passed over, and AccuracyError is raised
+    when none exists.  From a start whose block is not below DM_TOL,
+    Levenberg-Marquardt fits the e^{-k/2}-weighted first block of d_m; the
+    search ends at the first start or fit whose block is below DM_TOL.  When
+    no fit reaches it, the best end point is polished on the block itself
+    (an L1 sum) by exact linearized steps.  DD_TOL is the step tolerance of
+    both stages in gap positions.  The value is d_m at the witness and an
+    upper bound on the true infimum; the search's evaluations, starts and
     status travel with the result.  For a gapless set [a_1, b_1] the torus is
     one period-1 point, a = (b_1 - a_1)/4, b = (a_1 + b_1)/2, and d_m is
     returned directly.
@@ -680,26 +674,25 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
         point = JacobiParams(np.empty(0), np.empty(0),
                              PeriodicTail([(hi - lo) / 4], [(lo + hi) / 2]))
         val = d_m(J, point, m)
-        return TorusDistance(val, DirichletData((), ()), m, grid_per_gap,
-                             1, 1, "floor" if val < DM_TOL else "converged", point)
+        return TorusDistance(val, DirichletData((), ()), m, 1, 1,
+                             "floor" if val < DM_TOL else "converged", point)
 
     search = _TorusSearch(J, e, m)
     tol = DD_TOL / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
     if initial is not None:
         ends = [_fit(search, _angles(e, initial), tol)]
     else:
-        site = _site_start(e, search.a, search.b)
-        if site is None and m > 1:
-            a, b = J.coeffs(m + e.ell)
-            site = _site_start(e, a[m - 2:], b[m - 2:], 1)
-        ends = [] if site is None else [_fit(search, _angles(e, site), tol)]
-        if not ends or search.value(ends[0]) >= DM_TOL:
-            angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
-            grid = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
-            for x0 in sorted(grid, key=search.value)[:3 - len(ends)]:
-                ends.append(_fit(search, x0, tol))
+        a, b = J.coeffs(m + e.ell + 1)
+        ends = []
+        for k in range(min(e.ell, m - 1) + 1):
+            site = _site_start(e, a[m - 1 - k:], b[m - 1 - k:], k)
+            if site is not None:
+                ends.append(_fit(search, _angles(e, site), tol))
                 if search.value(ends[-1]) < DM_TOL:
                     break
+        if not ends:
+            raise AccuracyError(f"torus search: no site start at sites "
+                                f"{max(1, m - e.ell)}..{m}")
     x = ends[-1]
     if search.value(x) < DM_TOL:
         status = "floor"
@@ -710,5 +703,4 @@ def dist_to_torus(J: JacobiParams, e: FiniteGapSet, m: int,
     site_dd = dirichlet_from_angles(e, x)
     point = torus_jacobi(e, site_dd, 0).params
     value = _d_from(J, m, point, 1)[0]
-    return TorusDistance(value, site_dd, m, grid_per_gap, search.nfev,
-                         len(ends), status, point)
+    return TorusDistance(value, site_dd, m, search.nfev, len(ends), status, point)

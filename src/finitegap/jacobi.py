@@ -538,12 +538,6 @@ class _Stieltjes:
         return np.array(a[:n]), np.array(b[:n])
 
 
-def _stieltjes(nodes: np.ndarray, weights: np.ndarray, N: int):
-    """First N recursion coefficients (a_1..a_N, b_1..b_N) of the normalized
-    discrete measure sum w_i delta_{x_i}: one _Stieltjes pass read to N."""
-    return _Stieltjes(nodes, weights, N).coeffs(N)
-
-
 def _rkpw(b, beta, x: float, w: float):
     """Add the node x with weight w to a discrete measure of n nodes.
 
@@ -600,12 +594,6 @@ class _StripPass:
         return np.sqrt(beta[1:n + 1]), np.array(b[:n])
 
 
-def _stieltjes_rkpw(nodes: np.ndarray, weights: np.ndarray, n_atoms: int, N: int):
-    """First N recursion coefficients of a discretized measure whose last
-    n_atoms entries are point masses: one _StripPass read to N."""
-    return _StripPass(nodes, weights, n_atoms, N).coeffs(N)
-
-
 def strip_coefficients(mu: SpectralMeasure, N: int, tol: float = 1e-10) -> JacobiParams:
     """First N recursion coefficients of mu via discretized orthogonalization.
 
@@ -639,7 +627,7 @@ def _strip_arrays(mu: SpectralMeasure, N: int, tol: float):
     if all(cos_series_resolved(c) for c in mu.band_coeffs):
         n = N + 1 + max(len(c) for c in mu.band_coeffs) + 8
         x, w = mu.discretize(n)
-        return _stieltjes_rkpw(x, w, n_atoms, N)
+        return _StripPass(x, w, n_atoms, N).coeffs(N)
     n_max = 1 << 17
     n = max(256, 2 * N + 64)
     if 2 * n > n_max:

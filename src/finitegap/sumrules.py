@@ -506,8 +506,10 @@ def twisted_sum_report(spec: PerturbationSpec, omega, k_list,
     For each k, reports the doubling tail of sum e^{2 pi i (k.omega) n} delta_n
     and the sup over N of the partial sums.  A tail below 1e-3 is
     'converged'; 'diverged' is certified only for the zero-frequency
-    harmonic case.
+    harmonic case.  The tail needs two halves, so N >= 2 (ValueError).
     """
+    if N < 2:
+        raise ValueError(f"twisted sums need N >= 2 terms, got {N}")
     omega = np.asarray(omega, float)
     da, db = spec.deltas(N)
     n = np.arange(1, N + 1)
@@ -673,10 +675,10 @@ def three_condition_experiment(e: FiniteGapSet, mu: SpectralMeasure,
 
     if a_holds and b_holds and c_holds:
         Ns = [n_strip // 2, n_strip]
-        res = dist_to_torus(J, e, Ns[0], grid_per_gap=4)
+        res = dist_to_torus(J, e, Ns[0])
         devs = [res.value, res.deviation(J, Ns[1])]
-        rep.add("torus_deviation", devs, N_values=Ns, grid_per_gap=res.grid_per_gap,
-                nfev=res.nfev, status=res.status)
+        rep.add("torus_deviation", devs, N_values=Ns, nfev=res.nfev,
+                status=res.status)
         # a 1e-10 floor keeps the verdict meaningful once both deviations sit
         # at stripping noise
         rep.verdicts["approach_to_torus"] = bool(

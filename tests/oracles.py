@@ -24,9 +24,12 @@ bit), the equilibrium density from the one-point route (the library groups
 an array of points by band), CSV rows from a per-cell type dispatch (the
 library formats each row with one template), and the distance to the torus
 from grid + Powell on d_m of full torus points (the library fits d_m's first
-block by least squares and polishes it in L1).
+block by least squares and polishes it in L1) and from the product grid of
+starts (the library starts only from J's own coefficients at sites m down to
+m - l).
 """
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -388,6 +391,67 @@ def dist_to_torus_powell(J, e, m, grid_per_gap=16, dd_tol=1e-6):
         best_val = float(res.fun)
         phis = np.asarray(res.x, float).reshape(e.ell)
     return best_val, fg.dirichlet_from_angles(e, phis), nfev
+
+
+def site_start_strict(e, a, b, k=0):
+    """isotorus._site_start with _move's strict read of G's roots (a root
+    more than 1e-9 of its gap's length outside the gap rejects the start),
+    as the site start read them before it clipped every real root in."""
+    from unittest import mock
+    from finitegap import isotorus as it
+    gap_points = it._gap_points
+    with mock.patch.object(it, "_gap_points",
+                           lambda e, G, S, slack=None: gap_points(e, G, S)):
+        return it._site_start(e, a, b, k)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_blocks(e, grid_per_gap):
+    """The product grid of grid_per_gap angles per gap circle, each point
+    with the first DM_BLOCK coefficients (a, then b) of its torus point.
+    They depend on neither J nor the site, so searches on one set share
+    them."""
+    import itertools
+    import finitegap as fg
+    from finitegap import isotorus as it
+    angles = 2 * np.pi * np.arange(grid_per_gap) / grid_per_gap
+    points = [np.array(p) for p in itertools.product(angles, repeat=e.ell)]
+    return [(x, np.concatenate(it._StrippingTail(fg.minimal_herglotz(
+        e, fg.dirichlet_from_angles(e, x)))(0, it.DM_BLOCK))) for x in points]
+
+
+def dist_to_torus_grid(J, e, m, grid_per_gap):
+    """The product-grid route to inf_T d_m(J, T) that the site starts of
+    isotorus.dist_to_torus replaced: the site start at m with the strict
+    read of G's roots (or, where it does not exist, the one at m - 1 moved
+    one site on), fitted by Levenberg-Marquardt; if the fit's block stays
+    at DM_TOL or above, the best points of a grid of grid_per_gap angles per
+    gap circle (grid_per_gap^l points) fill up three starts, each fitted,
+    and the best end is polished (the library's fit and polish).
+    Returns (value, site-m DirichletData, objective evaluations)."""
+    import finitegap as fg
+    from finitegap import isotorus as it
+    search = it._TorusSearch(J, e, m)
+    tol = it.DD_TOL / max((e.gap(j)[1] - e.gap(j)[0]) / 2 for j in range(e.ell))
+    a, b = J.coeffs(m + e.ell + 1)
+    site = site_start_strict(e, a[m - 1:], b[m - 1:])
+    if site is None and m > 1:
+        site = site_start_strict(e, a[m - 2:], b[m - 2:], 1)
+    ends = [] if site is None else [it._fit(search, it._angles(e, site), tol)]
+    if not ends or search.value(ends[0]) >= it.DM_TOL:
+        grid = _grid_blocks(e, grid_per_gap)
+        for x, block in grid:
+            # the residual search.residual(x) makes, bit for bit, and counted
+            search._residuals.setdefault(x.tobytes(), search.target - block)
+        for x0 in sorted([x for x, _ in grid], key=search.value)[:3 - len(ends)]:
+            ends.append(it._fit(search, x0, tol))
+            if search.value(ends[-1]) < it.DM_TOL:
+                break
+    x = ends[-1]
+    if search.value(x) >= it.DM_TOL:
+        x = it._polish(search, min(ends, key=search.value), tol)
+    dd = fg.dirichlet_from_angles(e, x)
+    return it._d_from(J, m, fg.torus_jacobi(e, dd, 0).params, 1)[0], dd, search.nfev
 
 
 def minimal_herglotz_plain(e, dd):

@@ -224,8 +224,8 @@ def test_criterion_11_distance_floor_and_blindness(p2_torus):
     d_clean = fg.d_m(J, p2_torus.params, m)
     d_pert = fg.d_m(Jp, p2_torus.params, m)
     assert abs(d_clean - d_pert) < 1e-10
-    r1 = fg.dist_to_torus(J, P2, m, grid_per_gap=8)
-    r2 = fg.dist_to_torus(Jp, P2, m, grid_per_gap=8)
+    r1 = fg.dist_to_torus(J, P2, m)
+    r2 = fg.dist_to_torus(Jp, P2, m)
     assert abs(r1.value - r2.value) < 1e-10
     report(11, f"torus self-distance {res.value:.1e} < 1e-4; below-m "
                f"perturbation shifts d_m by {abs(r1.value - r2.value):.1e}")

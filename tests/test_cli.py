@@ -142,7 +142,32 @@ def test_distance_torus_self(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "distance.json").read_text())
     assert doc["value"] < 1e-4
-    assert doc["grid_per_gap"] == 8
+    assert "grid_per_gap" not in doc
+
+
+def test_distance_grid_per_gap_is_checked_and_not_read(tmp_path):
+    # the search has no grid: grid_per_gap 4 or 8 gives the same distance
+    # as no key at all, and distance.json does not carry it
+    bands = [[-2, -1], [1, 2]]
+    docs = []
+    for i, extra in enumerate(({}, {"grid_per_gap": 4}, {"grid_per_gap": 8})):
+        (tmp_path / str(i)).mkdir()
+        rc, files = run_fresh(tmp_path / str(i), "distance",
+                              {"bands": bands, "m": 3, **extra})
+        assert rc == 0 and files == ["distance.json"]
+        doc = json.loads((tmp_path / str(i) / "out" / "distance.json").read_text())
+        assert "grid_per_gap" not in doc
+        docs.append((doc["value"], doc["dirichlet"], doc["nfev"]))
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_distance_without_a_site_start_exit_1_no_file(tmp_path, capsys):
+    rc, files = run_fresh(tmp_path, "distance", {
+        "bands": [[-2, -1], [-0.3, 0.4], [1.1, 2]], "m": 1,
+        "jacobi": {"head_a": [1.7, 1.0, 1.2, 0.7], "head_b": [-0.4, -2.2, 2.95, 0.3],
+                   "tail": {"kind": "free"}}})
+    assert rc == 1 and files == []
+    assert "no site start" in capsys.readouterr().err
 
 
 def test_sumrule_lt_free_verdict(tmp_path):
@@ -264,8 +289,7 @@ ALL_COMMANDS = [
     ("sumrule", {"experiment": "cesaro", "bands": [[-2, 2]],
                  "jacobi": {"head_a": [1.0, 1.0], "head_b": [0.5, -0.25],
                             "tail": {"kind": "free"}}, "M": 8}),
-    ("distance", {"bands": P2, "jacobi": {"torus": TORUS}, "m": 2,
-                  "grid_per_gap": 4}),
+    ("distance", {"bands": P2, "jacobi": {"torus": TORUS}, "m": 2}),
     ("report", None),
 ]
 
@@ -373,8 +397,12 @@ def test_malformed_jacobi_spec_exit_2(tmp_path, capsys, route, name):
                  "n_strip": 1}),
     ("sumrule", {"experiment": "three_condition", "bands": [[-2, 2]],
                  "n_trunc": 3}),
+    ("sumrule", {"experiment": "oscillatory", "bands": [[-2, -1], [1, 2]],
+                 "n": 1}),
+    ("distance", {"bands": [[-2, -1], [1, 2]], "grid_per_gap": 0}),
 ], ids=["oprl_n", "oscillatory_n", "torus_n", "cesaro_M", "eqm_float",
-        "three_condition_n_strip", "three_condition_n_trunc"])
+        "three_condition_n_strip", "three_condition_n_trunc", "oscillatory_n_one",
+        "distance_grid_per_gap"])
 def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
     rc, files = run_fresh(tmp_path, command, config)
     assert rc == 2 and files == []
@@ -397,8 +425,10 @@ def test_size_out_of_range_exit_2_no_files(tmp_path, capsys, command, config):
                  "k_list": 5}),
     ("oprl", {"z": [None]}),
     ("oprl", {"z": 5}),
+    ("distance", {"bands": [[-2, -1], [1, 2]], "grid_per_gap": "x"}),
 ], ids=["amplitude_null", "which_two_int", "torus_spec_int", "atoms_null",
-        "k_vector_null", "k_list_int", "z_item_null", "z_int"])
+        "k_vector_null", "k_list_int", "z_item_null", "z_int",
+        "grid_per_gap_str"])
 def test_wrong_json_type_exit_2_no_files(tmp_path, capsys, command, config):
     rc, files = run_fresh(tmp_path, command, config)
     assert rc == 2 and files == []

@@ -429,7 +429,7 @@ def test_dist_free_from_two_band_torus(period2_set):
     # free coefficients are never close to the period-2 family
     J = fg.free_jacobi()
     for m in (1, 5):
-        res = fg.dist_to_torus(J, period2_set, m, grid_per_gap=8)
+        res = fg.dist_to_torus(J, period2_set, m)
         assert res.value > 0.3
 
 
@@ -437,8 +437,9 @@ def test_dist_two_gap_product_grid():
     e = fg.make_band_set([-2, -1, -0.3, 0.4, 1.1, 2])
     dd = fg.dirichlet_data(e, [(-0.6, -1), (0.7, +1)])
     tp = fg.torus_jacobi(e, dd, 48)
-    res = fg.dist_to_torus(tp.params, e, 2, grid_per_gap=6)
+    res = fg.dist_to_torus(tp.params, e, 2)
     assert res.value < 1e-3
+    assert res.value <= oracles.dist_to_torus_grid(tp.params, e, 2, 6)[0]
     # the witness is site-2 data: dd moved one site on
     want = fg.isotorus._move(e, dd, 1)
     assert np.abs(np.subtract(res.dirichlet.gammas, want.gammas)).max() < 0.05
@@ -472,7 +473,7 @@ def test_dist_search_family_against_powell_oracle(period2_set):
     # well as the grid + Powell route, in at most half its evaluations
     nfev = nfev_oracle = 0
     for J, e, m, dd in search_family(period2_set):
-        res = fg.dist_to_torus(J, e, m, grid_per_gap=8)
+        res = fg.dist_to_torus(J, e, m)
         want, _, n_oracle = oracles.dist_to_torus_powell(J, e, m, grid_per_gap=8)
         if dd is not None:
             assert res.value <= 1e-12 and res.status == "floor", (dd, res)
@@ -486,11 +487,13 @@ def test_dist_search_family_against_powell_oracle(period2_set):
 @pytest.mark.parametrize("seed", [2, 3])
 @pytest.mark.parametrize("m, grid", [(2, 8), (2, 16), (40, 8), (200, 8)])
 def test_dist_cold_start_finds_torus_point(seed, m, grid):
-    # grid + Powell returned 8.1e-2 to 9.8e-2 on these
+    # grid + Powell returned 8.1e-2 to 9.8e-2 on these; the site start is at
+    # least as good as the product-grid route at grid 8 and 16
     dd = fg.random_dirichlet(E6, np.random.default_rng(seed))
     J = fg.torus_jacobi(E6, dd, 48).params
-    res = fg.dist_to_torus(J, E6, m, grid_per_gap=grid)
+    res = fg.dist_to_torus(J, E6, m)
     assert res.value <= 1e-12
+    assert res.value <= oracles.dist_to_torus_grid(J, E6, m, grid)[0]
     want = fg.isotorus._move(E6, dd, m - 1)
     assert res.dirichlet.sheets == want.sheets
     assert np.abs(np.subtract(res.dirichlet.gammas, want.gammas)).max() < 1e-8
@@ -504,7 +507,7 @@ def test_witness_reproduces_the_value(ell, set_seed, dd_seed, m):
     e = random_band_set(np.random.default_rng(set_seed), ell)
     J = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(dd_seed)),
                         48).params
-    res = fg.dist_to_torus(J, e, m, grid_per_gap=4)
+    res = fg.dist_to_torus(J, e, m)
     dd = fg.DirichletData.from_json(res.to_json()["dirichlet"])
     W = fg.torus_jacobi(e, dd, 0).params
     assert fg.isotorus._d_from(J, m, W, 1)[0] == res.value
@@ -541,9 +544,9 @@ def test_site_start_is_the_moved_data(ell):
     # J's own coefficients at site m fix the data k = m - 1 sites on; for
     # l <= 2 the search ends at that one evaluation (from l = 3 on the block
     # of the site start, like that of the moved data, reaches 1e-12..1e-10,
-    # around DM_TOL, so Levenberg-Marquardt runs from it, and the grid
-    # follows only where its end stays at the stepper's own floor above
-    # DM_TOL)
+    # around DM_TOL, so Levenberg-Marquardt runs from it, and the starts at
+    # the sites before m follow only where its end stays at the stepper's
+    # own floor above DM_TOL)
     for s in range(2):
         e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
         shortest = min(e.gap(j)[1] - e.gap(j)[0] for j in range(ell))
@@ -566,14 +569,17 @@ def test_site_start_is_the_moved_data(ell):
 
 
 def test_rejected_site_start_takes_the_grid_route(period2_set):
-    # b_1 = 3 puts G's root right of the gap: no site start, so every grid
-    # point is evaluated and the search reaches at least the Powell oracle
+    # b_1 = 3 puts G's root right of the gap, which the strict read of
+    # _move rejects; the site start clips it onto the gap's edge, and from
+    # there the search reaches at least the grid + Powell oracle (2.5820 in
+    # 24 evaluations, where the grid route made 50)
     J = fg.JacobiParams(np.ones(2), np.array([3.0, 0.0]))
     a, b = J.coeffs(3)
-    assert fg.isotorus._site_start(period2_set, a, b) is None
-    res = fg.dist_to_torus(J, period2_set, 1, grid_per_gap=8)
-    want, _, _ = oracles.dist_to_torus_powell(J, period2_set, 1, grid_per_gap=8)
-    assert res.nfev > 8 and res.starts == 3
+    assert oracles.site_start_strict(period2_set, a, b) is None
+    assert fg.isotorus._site_start(period2_set, a, b).gammas == (1.0,)
+    res = fg.dist_to_torus(J, period2_set, 1)
+    want, _, n_oracle = oracles.dist_to_torus_powell(J, period2_set, 1, grid_per_gap=8)
+    assert res.starts == 1 and res.nfev < n_oracle
     assert res.value <= want * (1 + 1e-6)
 
 
@@ -581,18 +587,43 @@ def test_rejected_site_start_takes_the_grid_route(period2_set):
 def test_site_start_fit_before_the_grid(ell, seed, edge):
     # site starts whose block sits above DM_TOL: 1.4e-12, and 1.0e-6 for
     # edge data whose gamma is right to 2.4e-12 of the shortest gap; fitted
-    # first, they end at the floor without the grid (4096 and 65 536 points
-    # at grid 16)
+    # first, they end at the floor with no grid (the product-grid route had
+    # 4096 and 65 536 points at grid 16)
     e = random_band_set(np.random.default_rng(seed), ell)
     dd = (fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi) if edge
           else fg.random_dirichlet(e, np.random.default_rng(1)))
     J = fg.torus_jacobi(e, dd, 48).params
     search = fg.isotorus._TorusSearch(J, e, 1)
-    start = fg.isotorus._angles(e, fg.isotorus._site_start(e, search.a, search.b))
+    start = fg.isotorus._angles(e, fg.isotorus._site_start(e, *J.coeffs(ell + 2)))
     assert search.value(start) >= fg.isotorus.DM_TOL
     res = fg.dist_to_torus(J, e, 1)
     assert res.status == "floor" and res.nfev <= 20 and res.starts == 1, res
     assert res.value < fg.isotorus.DM_TOL
+
+
+def test_dist_without_a_site_start_raises():
+    # at m = 1 the one site start reads G's roots, and here both are complex
+    J = fg.JacobiParams(np.array([1.7, 1.0, 1.2, 0.7]),
+                        np.array([-0.4, -2.2, 2.95, 0.3]))
+    assert fg.isotorus._site_start(E6, *J.coeffs(4)) is None
+    with pytest.raises(AccuracyError, match="no site start at sites 1..1"):
+        fg.dist_to_torus(J, E6, 1)
+
+
+@pytest.mark.parametrize("ell, seed, dd_seed, m", [
+    (4, 4000, 0, 2), (4, 4000, 0, 48), (4, 4000, 0, 200),
+    (4, 4000, None, 2), (4, 4000, None, 48), (3, 3001, 1, 48), (3, 3001, 1, 200)])
+def test_dist_stepper_floor_ends_in_few_evaluations(ell, seed, dd_seed, m):
+    # torus points whose fits end at the stepper's own floor just above
+    # DM_TOL (drawn data, and edge data where dd_seed is None): the grid-16
+    # route then evaluated its whole grid, about 65 600 evaluations and
+    # 20-24 s at l = 4 and about 4150 at l = 3; the site starts end at
+    # 21-51 evaluations and 7e-13 to 1.8e-11
+    e = random_band_set(np.random.default_rng(seed), ell)
+    dd = (fg.dirichlet_from_angles(e, np.arange(ell) % 2 * np.pi) if dd_seed is None
+          else fg.random_dirichlet(e, np.random.default_rng(dd_seed)))
+    res = fg.dist_to_torus(fg.torus_jacobi(e, dd, 48).params, e, m)
+    assert res.nfev <= 100 and res.value <= 1e-10, res
 
 
 def discriminant_set(a, b):
@@ -611,9 +642,11 @@ def discriminant_set(a, b):
 
 def test_dist_site_start_from_the_site_before():
     # a period-4 set (l = 3) and a torus point perturbed on its first 300
-    # coefficients: at m = 20 J's coefficients fix no site start, and the
-    # three best grid-4 points all led to a wrong basin at 0.370; the site
-    # start at m - 1, moved one site on, finds what grid 8 finds
+    # coefficients: at m = 20 a root of G lies outside its gap, and the three
+    # best grid-4 points all led to a wrong basin at 0.370; the clipped site
+    # start and those from sites 19, 18 and 17, each moved on to m = 20,
+    # find what the grid-8 route finds (8.297e-3 in 101 evaluations, where
+    # grid 8 made 625)
     rng = np.random.default_rng(2)
     a = rng.uniform(0.6, 1.4, 4)
     e = discriminant_set(a, rng.uniform(-1, 1, 4))
@@ -626,20 +659,53 @@ def test_dist_site_start_from_the_site_before():
                         fg.jacobi.ExtendTail(tp.params.tail.cache, 300))
     m = 20
     a, b = J.coeffs(m + e.ell + 1)
-    assert fg.isotorus._site_start(e, a[m - 1:], b[m - 1:]) is None
-    grid4 = fg.dist_to_torus(J, e, m, grid_per_gap=4).value
-    assert grid4 <= 1.1 * fg.dist_to_torus(J, e, m, grid_per_gap=8).value
+    assert oracles.site_start_strict(e, a[m - 1:], b[m - 1:]) is None
+    res = fg.dist_to_torus(J, e, m)
+    want, _, n_oracle = oracles.dist_to_torus_grid(J, e, m, 8)
+    assert res.value <= 1.1 * want
+    assert res.starts == e.ell + 1 and res.nfev < n_oracle
+
+
+def perturbed_torus_point(ell, s):
+    """(set, J): a random_band_set torus point with its first 400
+    coefficients perturbed, a (1 + 0.15 e^{-k/6} cos k) and
+    b + 0.3 e^{-k/6} sin 1.7k for k = 0..399."""
+    e = random_band_set(np.random.default_rng(1000 * ell + s), ell)
+    tp = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(7 + s)), 400)
+    a, b = tp.params.coeffs(400)
+    k = np.arange(400)
+    return e, fg.JacobiParams(a * (1 + 0.15 * np.exp(-k / 6) * np.cos(k)),
+                              b + 0.3 * np.exp(-k / 6) * np.sin(1.7 * k),
+                              fg.jacobi.ExtendTail(tp.params.tail.cache, 400))
+
+
+@pytest.mark.parametrize("ell, ms", [(3, (10, 20, 40)), (4, (10,))],
+                         ids=["l3", "l4_m10"])
+def test_dist_search_family_against_grid_oracle(ell, ms):
+    # off the torus, the site starts reach what the grid-8 route reaches
+    # (l = 3: equal values; l = 4, m = 10, where grid 4 and grid 8
+    # disagree: 1.0001x, equal, and 0.022 where grid 8 reads 0.033) in
+    # 62-538 evaluations, where grid 8 makes 571-680 (l = 3) and about
+    # 4200 (l = 4)
+    for s in range(3):
+        e, J = perturbed_torus_point(ell, s)
+        for m in ms:
+            res = fg.dist_to_torus(J, e, m)
+            want, _, n_oracle = oracles.dist_to_torus_grid(J, e, m, 8)
+            assert res.value <= 1.01 * want, (ell, s, m, res.value, want)
+            assert res.nfev < n_oracle, (ell, s, m, res.nfev, n_oracle)
 
 
 @pytest.mark.parametrize("ell, seed", [(3, 300), (4, 400)])
 def test_dist_grid4_finds_many_gap_torus_points(ell, seed):
-    # at grid 4 the three best grid starts missed 8 of these 12 (0.10-0.62)
+    # at grid 4 the three best grid starts missed 8 of these 12 (0.10-0.62);
+    # the site starts find all of them
     for s in range(3):
         e = random_band_set(np.random.default_rng(seed + s), ell)
         J = fg.torus_jacobi(e, fg.random_dirichlet(e, np.random.default_rng(s)),
                             48).params
         for m in (1, 24):
-            res = fg.dist_to_torus(J, e, m, grid_per_gap=4)
+            res = fg.dist_to_torus(J, e, m)
             assert res.value <= 1e-11, (ell, s, m, res)
 
 
@@ -696,8 +762,7 @@ def test_dist_evaluation_counts(monkeypatch, period2_set, period2_torus):
     from finitegap import cli
     config = dict(cli_configs(43, tiny=False))["distance"]
     res = fg.dist_to_torus(cli._jacobi_from_config(config["jacobi"]),
-                           cli._bands_from_config(config), config["m"],
-                           grid_per_gap=config["grid_per_gap"])
+                           cli._bands_from_config(config), config["m"])
     assert res.status == "floor" and res.nfev == 1
 
     # a torus point's Cesaro average: each m after the first starts at the
@@ -731,7 +796,7 @@ def test_dist_polish_cap_raises(monkeypatch, period2_set):
     J = fg.apply_perturbation(fg.torus_jacobi(period2_set, dd, 48).params,
                               PerturbationSpec(L1Decay(2, 0.3), "both"), 64)
     with pytest.raises(AccuracyError, match="did not converge in"):
-        fg.dist_to_torus(J, period2_set, 2, grid_per_gap=8)
+        fg.dist_to_torus(J, period2_set, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +892,10 @@ def test_dist_to_torus_bit_identical_with_array_oracle(monkeypatch, period2_set,
                                                        period2_torus):
     # the period-2 searches of test_dist_self_floor and
     # test_dist_free_from_two_band_torus
-    cases = [(period2_torus.params, 3, 16), (fg.free_jacobi(), 1, 8),
-             (fg.free_jacobi(), 5, 8)]
-    got = [fg.dist_to_torus(J, period2_set, m, grid_per_gap=g) for J, m, g in cases]
+    cases = [(period2_torus.params, 3), (fg.free_jacobi(), 1), (fg.free_jacobi(), 5)]
+    got = [fg.dist_to_torus(J, period2_set, m) for J, m in cases]
     monkeypatch.setattr(fg.isotorus, "_StrippingTail", oracles.StrippingTailPlain)
-    want = [fg.dist_to_torus(J, period2_set, m, grid_per_gap=g) for J, m, g in cases]
+    want = [fg.dist_to_torus(J, period2_set, m) for J, m in cases]
     for r, w in zip(got, want):
         assert r.value == w.value
         assert r.dirichlet == w.dirichlet

@@ -44,7 +44,7 @@ def test_dirichlet_and_torus_distance():
     assert fg.DirichletData.from_json(dd.to_json()) == dd
     tp = fg.torus_jacobi(P2, dd, 32)
     for J in (tp.params, fg.free_jacobi()):
-        res = fg.dist_to_torus(J, P2, 1, grid_per_gap=4)
+        res = fg.dist_to_torus(J, P2, 1)
         doc = res.to_json()
         assert_plain(doc)
         assert doc["dirichlet"] == res.dirichlet.to_json()

@@ -719,6 +719,17 @@ def test_twisted_sums_harmonic_divergence():
     assert row["a"]["verdict"] == "diverged"
 
 
+def test_twisted_sums_need_two_terms():
+    # one term has no second half to measure a tail on: the harmonic series
+    # read "converged" with tail 0 at N = 1; from N = 2 on it diverges
+    spec = PerturbationSpec(Oscillatory(0.0, 1.0, 1.0), "a")
+    for N in (0, 1):
+        with pytest.raises(ValueError, match="N >= 2"):
+            twisted_sum_report(spec, np.array([0.5]), [np.array([0])], N=N)
+    rep = twisted_sum_report(spec, np.array([0.5]), [np.array([0])], N=2)
+    assert rep["per_k"][(0,)]["a"]["verdict"] == "diverged"
+
+
 def test_zero_amplitude_admissible():
     spec = PerturbationSpec(Oscillatory(0.3, 0.0, 1.0), "a")
     rep = twisted_sum_report(spec, np.array([0.5]), [np.array([1])], N=1 << 12)
@@ -839,7 +850,7 @@ def test_three_condition_approach_is_measured(eq_twoband):
     q = rep.quantities["torus_deviation"]
     assert max(q["value"]) < 1e-10
     assert q["params"]["N_values"] == [64, 128]
-    assert q["params"]["grid_per_gap"] == 4
+    assert "grid_per_gap" not in q["params"]
     assert q["params"]["status"] == "floor" and q["params"]["nfev"] >= 1
     assert rep.verdicts["approach_to_torus"]
 
